@@ -6,20 +6,12 @@ profile's category mix, GPU involvement and per-category lognormal
 repair durations.  Unlike the offline generator, the injector reacts
 to cluster state — failures land on nodes that are currently up.
 
-Two draw strategies are available.  The default (``presample=True``)
-pre-samples every stochastic quantity in vectorized NumPy batches and
-hands the event loop plain Python floats, so a simulated failure costs
-a couple of list indexes instead of several ``Generator`` round-trips;
-paired with the cluster's O(1) healthy-node index this is what makes
-Monte-Carlo replication fast.  ``presample=False`` retains the
-original one-RNG-call-per-draw path (including the fleet-sized
-``available_nodes()`` scan per event) as the reference baseline that
-``benchmarks/perf_sim.py`` measures speedups against.
-
-The two strategies draw from the *same distributions* but consume the
-underlying bit stream differently, so a given seed produces different
-(equally valid) trajectories under each.  Within one strategy, runs
-are bit-reproducible for a seed.
+Every stochastic quantity is pre-sampled in vectorized NumPy batches
+and handed to the event loop as plain Python floats, so a simulated
+failure costs a couple of list indexes instead of several
+``Generator`` round-trips; paired with the cluster's O(1)
+healthy-node index this is what makes Monte-Carlo replication fast.
+Runs are bit-reproducible for a seed.
 """
 
 from __future__ import annotations
@@ -89,7 +81,6 @@ class _BatchedFaultDraws:
         ttr_samplers: dict[str, LognormalTtrSampler],
         slot_weights: tuple[float, ...],
     ) -> None:
-        self._rng = rng
         names = category_names
         num_categories = len(names)
         self._gaps = _Stream(
@@ -151,52 +142,6 @@ class _BatchedFaultDraws:
         return self._single_slots.next()
 
 
-class _PerEventFaultDraws:
-    """The pre-PR reference path: one RNG round-trip per draw."""
-
-    def __init__(
-        self,
-        rng: np.random.Generator,
-        renewal,
-        category_names: list[str],
-        category_probabilities: np.ndarray,
-        involvement_values: list[int],
-        involvement_probabilities: np.ndarray,
-        ttr_samplers: dict[str, LognormalTtrSampler],
-    ) -> None:
-        self._rng = rng
-        self._renewal = renewal
-        self._category_names = category_names
-        self._category_probabilities = category_probabilities
-        self._involvement_values = involvement_values
-        self._involvement_probabilities = involvement_probabilities
-        self._ttr_samplers = ttr_samplers
-
-    def next_gap(self) -> float:
-        return float(self._renewal.sample_gaps(self._rng, 1)[0])
-
-    def next_category(self) -> str:
-        return str(
-            self._rng.choice(
-                self._category_names, p=self._category_probabilities
-            )
-        )
-
-    def next_involvement(self) -> int:
-        return int(
-            self._rng.choice(
-                self._involvement_values,
-                p=self._involvement_probabilities,
-            )
-        )
-
-    def next_uniform(self) -> float:
-        return float(self._rng.random())
-
-    def next_ttr(self, category: str) -> float:
-        return self._ttr_samplers[category].sample(self._rng)
-
-
 class FaultInjector:
     """Drives failures into a cluster simulation.
 
@@ -215,11 +160,6 @@ class FaultInjector:
             for multi-GPU cards on the same node and proactive
             replacements".  0 reproduces the profile's involvement
             shares unchanged.
-        presample: Pre-sample stochastic draws in vectorized batches
-            (the fast default).  ``False`` selects the per-event
-            reference path; same distributions, different bit-stream
-            consumption, so per-seed trajectories differ between the
-            two modes.
         record_injected: Keep a :class:`FailureRecord` per injected
             failure so :meth:`injected_log` works.  Headless
             Monte-Carlo replications that only need the simulation
@@ -236,7 +176,6 @@ class FaultInjector:
         seed: int = 0,
         intensity: float = 1.0,
         health_test_effectiveness: float = 0.0,
-        presample: bool = True,
         record_injected: bool = True,
     ) -> None:
         if intensity <= 0:
@@ -256,7 +195,7 @@ class FaultInjector:
         self._rng = np.random.default_rng(seed)
         self._spec = get_machine(profile.machine)
         self._topology = build_node_topology(profile.machine)
-        self._renewal = calibrate_weibull(
+        renewal = calibrate_weibull(
             mean_hours=profile.tbf_mean_hours / intensity,
             p75_hours=profile.tbf_p75_hours / intensity,
         )
@@ -264,9 +203,7 @@ class FaultInjector:
         weights = np.asarray(
             [profile.category_counts[name] for name in names], dtype=float
         )
-        self._category_names = names
-        self._category_probabilities = weights / weights.sum()
-        self._ttr_samplers = {
+        ttr_samplers = {
             name: LognormalTtrSampler(
                 profile.category_ttr_mean_hours[name],
                 profile.category_ttr_sigma[name],
@@ -275,38 +212,24 @@ class FaultInjector:
         }
         recorded = sum(profile.gpu_involvement_counts.values())
         total_gpu = recorded + profile.gpu_involvement_unrecorded
-        self._involvement_values = [0] + sorted(
-            profile.gpu_involvement_counts
-        )
-        self._involvement_probabilities = np.asarray(
+        involvement_values = [0] + sorted(profile.gpu_involvement_counts)
+        involvement_probabilities = np.asarray(
             [profile.gpu_involvement_unrecorded / total_gpu]
             + [
                 profile.gpu_involvement_counts[k] / total_gpu
                 for k in sorted(profile.gpu_involvement_counts)
             ]
         )
-        self._presample = presample
-        if presample:
-            self._draws = _BatchedFaultDraws(
-                self._rng,
-                self._renewal,
-                self._category_names,
-                self._category_probabilities,
-                self._involvement_values,
-                self._involvement_probabilities,
-                self._ttr_samplers,
-                profile.gpu_slot_weights,
-            )
-        else:
-            self._draws = _PerEventFaultDraws(
-                self._rng,
-                self._renewal,
-                self._category_names,
-                self._category_probabilities,
-                self._involvement_values,
-                self._involvement_probabilities,
-                self._ttr_samplers,
-            )
+        self._draws = _BatchedFaultDraws(
+            self._rng,
+            renewal,
+            names,
+            weights / weights.sum(),
+            involvement_values,
+            involvement_probabilities,
+            ttr_samplers,
+            profile.gpu_slot_weights,
+        )
         self._record_injected = record_injected
         self._injected: list[FailureRecord] = []
         self._next_record_id = 0
@@ -410,7 +333,7 @@ class FaultInjector:
         num_slots = len(self._profile.gpu_slot_weights)
         if involved == num_slots:
             return tuple(range(num_slots))
-        if involved == 1 and self._presample:
+        if involved == 1:
             # Single-slot picks (the common case) come from the
             # pre-sampled propensity stream; multi-slot picks need the
             # sequential topology-affinity walk below.
@@ -423,20 +346,15 @@ class FaultInjector:
         )
 
     def _pick_node(self) -> int:
-        if self._presample:
-            count = self._cluster.num_available()
-            if count:
-                # Uniform over healthy nodes via one pre-sampled
-                # uniform and the cluster's O(1) index — no
-                # fleet-sized list per event.
-                index = int(self._draws.next_uniform() * count)
-                return self._cluster.available_at(index)
-            return int(self._draws.next_uniform() * self._cluster.num_nodes)
-        available = self._cluster.available_nodes()
-        if available:
-            return int(self._rng.choice(available))
+        count = self._cluster.num_available()
+        if count:
+            # Uniform over healthy nodes via one pre-sampled uniform
+            # and the cluster's O(1) index — no fleet-sized list per
+            # event.
+            index = int(self._draws.next_uniform() * count)
+            return self._cluster.available_at(index)
         # Whole fleet down: hit a random node anyway (absorbed outage).
-        return int(self._rng.integers(self._cluster.num_nodes))
+        return int(self._draws.next_uniform() * self._cluster.num_nodes)
 
     def _record(
         self,

@@ -9,11 +9,12 @@ of :class:`~repro.sim.simulator.ClusterSimulator` and folds their
 statistics — mean, standard error, and percentile confidence
 intervals — using the constant-memory estimators from
 :mod:`repro.stream.online`, so R can be large without holding R
-reports.
+reports.  The same ensemble core also drives the training vertical's
+:func:`repro.train.montecarlo.run_train_replications`.
 
-Determinism contract: :func:`run_replications` with a given
-``(machine, seed, replications, ...)`` returns bit-identical results
-whether the replications run serially or across worker processes.
+Determinism contract: an ensemble with a given ``(machine, seed,
+replications, ...)`` returns bit-identical results whether the
+replications run serially or across worker processes.
 Per-replication seeds come from :func:`spawn_seeds` (NumPy
 ``SeedSequence`` spawning, prefix-stable in ``n``), replications are
 dispatched through the fault-tolerant
@@ -26,6 +27,7 @@ sequential loop — so worker scheduling can never touch the numbers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any, Callable
 
 import numpy as np
 
@@ -96,6 +98,21 @@ class MetricStats:
         )
 
 
+def _ensemble_summary(head: str, report) -> str:
+    """Multi-line summary shared by both ensemble report types."""
+    lines = [
+        f"{head}{report.replications} replications x "
+        f"{report.horizon_hours:g} h "
+        f"({report.ci * 100:g}% percentile intervals)"
+    ]
+    if report.failed_replications:
+        lines.append(
+            f"  {report.failed_replications} replication(s) failed"
+        )
+    lines.extend(f"  {stats}" for stats in report.metrics.values())
+    return "\n".join(lines)
+
+
 @dataclass(frozen=True)
 class EnsembleReport:
     """Summary of a Monte-Carlo replication ensemble.
@@ -127,53 +144,30 @@ class EnsembleReport:
 
     def summary(self) -> str:
         """Human-readable multi-line summary."""
-        lines = [
-            f"{self.machine}: {self.replications} replications x "
-            f"{self.horizon_hours:g} h "
-            f"({int(self.ci * 100)}% percentile intervals)"
-        ]
-        if self.failed_replications:
-            lines.append(
-                f"  {self.failed_replications} replication(s) failed"
-            )
-        lines.extend(f"  {self.metrics[name]}" for name in _METRICS)
-        return "\n".join(lines)
+        return _ensemble_summary(f"{self.machine}: ", self)
 
 
 @dataclass(frozen=True)
 class _ReplicationTask:
-    """Picklable spec of one replication (travels to worker processes)."""
+    """Picklable spec of one replication (travels to worker processes).
+
+    ``simulator_kwargs`` are the :class:`ClusterSimulator` keyword
+    arguments shared by every replication, frozen as sorted pairs.
+    """
 
     machine: str
     seed: int
     horizon_hours: float
-    intensity: float
-    health_test_effectiveness: float
-    num_technicians: int | None
-    spare_lead_time_hours: float | None
-    presample: bool
+    simulator_kwargs: tuple[tuple[str, Any], ...]
 
 
 def _run_replication(task: _ReplicationTask) -> SimulationReport:
     """Worker entry point: one seeded simulation, report only."""
-    policy = None
-    if task.num_technicians is not None:
-        policy = RepairPolicy(
-            num_technicians=task.num_technicians,
-            spare_lead_time_hours=(
-                task.spare_lead_time_hours
-                if task.spare_lead_time_hours is not None
-                else RepairPolicy.spare_lead_time_hours
-            ),
-        )
     simulator = ClusterSimulator(
         task.machine,
-        repair_policy=policy,
         seed=task.seed,
-        intensity=task.intensity,
-        health_test_effectiveness=task.health_test_effectiveness,
-        presample=task.presample,
         keep_injected_log=False,
+        **dict(task.simulator_kwargs),
     )
     return simulator.run(task.horizon_hours)
 
@@ -207,6 +201,82 @@ class _MetricFold:
         )
 
 
+def _run_ensemble(
+    machine: str,
+    replications: int,
+    horizon_hours: float,
+    seed: int,
+    ci: float,
+    max_workers: int | None,
+    retries: int,
+    metrics: tuple[str, ...],
+    metric_value: Callable[[SimulationReport, str], float],
+    **simulator_kwargs: Any,
+) -> tuple[int, dict[str, MetricStats], tuple[tuple[int, str], ...]]:
+    """Run and fold one ensemble; the core of both public entry points.
+
+    Returns ``(completed, metric_stats, errors)``: the replications
+    folded in, per-metric statistics keyed in ``metrics`` order, and
+    ``(replication_index, "Type: message")`` for each failure.
+
+    Raises:
+        ValidationError: On invalid ``replications`` or ``ci``.
+        SimulationError: If *every* replication failed (there is no
+            distribution to report).
+    """
+    if replications < 1:
+        raise ValidationError(
+            f"replications must be >= 1, got {replications}"
+        )
+    if not 0.0 < ci < 1.0:
+        raise ValidationError(f"ci must lie in (0, 1), got {ci}")
+    frozen_kwargs = tuple(sorted(simulator_kwargs.items()))
+    tasks = [
+        _ReplicationTask(
+            machine=machine,
+            seed=replication_seed,
+            horizon_hours=horizon_hours,
+            simulator_kwargs=frozen_kwargs,
+        )
+        for replication_seed in spawn_seeds(seed, replications)
+    ]
+    folds = {name: _MetricFold(name) for name in metrics}
+    errors: list[tuple[int, str]] = []
+    outcome: SweepOutcome
+    for outcome in sweep_iter(
+        _run_replication,
+        tasks,
+        processes=max_workers,
+        retries=retries,
+    ):
+        if not outcome.ok:
+            errors.append(
+                (
+                    outcome.index,
+                    f"{type(outcome.error).__name__}: {outcome.error}",
+                )
+            )
+            continue
+        report = outcome.result
+        for name, fold in folds.items():
+            fold.push(metric_value(report, name))
+    completed = replications - len(errors)
+    if completed == 0:
+        raise SimulationError(
+            f"all {replications} replications failed; first error: "
+            f"{errors[0][1]}"
+        )
+    return (
+        completed,
+        {name: fold.stats(ci) for name, fold in folds.items()},
+        tuple(errors),
+    )
+
+
+def _report_field(report: SimulationReport, name: str) -> float:
+    return float(getattr(report, name))
+
+
 def run_replications(
     machine: str,
     replications: int,
@@ -218,7 +288,6 @@ def run_replications(
     health_test_effectiveness: float = 0.0,
     num_technicians: int | None = None,
     spare_lead_time_hours: float | None = None,
-    presample: bool = True,
     retries: int = 0,
 ) -> EnsembleReport:
     """Run a Monte-Carlo ensemble and summarise its distribution.
@@ -243,8 +312,6 @@ def run_replications(
         num_technicians: Override the repair policy's staffing.
         spare_lead_time_hours: Override the spare procurement lead
             time (requires ``num_technicians``).
-        presample: Injector draw strategy; see
-            :class:`~repro.sim.simulator.ClusterSimulator`.
         retries: Re-run a replication that raised up to this many
             extra times before recording it as failed.
 
@@ -258,62 +325,41 @@ def run_replications(
         SimulationError: If *every* replication failed (there is no
             distribution to report).
     """
-    if replications < 1:
-        raise ValidationError(
-            f"replications must be >= 1, got {replications}"
-        )
-    if not 0.0 < ci < 1.0:
-        raise ValidationError(f"ci must lie in (0, 1), got {ci}")
     if spare_lead_time_hours is not None and num_technicians is None:
         raise ValidationError(
             "spare_lead_time_hours requires num_technicians "
             "(both override the same repair policy)"
         )
-    tasks = [
-        _ReplicationTask(
-            machine=machine,
-            seed=replication_seed,
-            horizon_hours=horizon_hours,
-            intensity=intensity,
-            health_test_effectiveness=health_test_effectiveness,
+    policy = None
+    if num_technicians is not None:
+        policy = RepairPolicy(
             num_technicians=num_technicians,
-            spare_lead_time_hours=spare_lead_time_hours,
-            presample=presample,
+            spare_lead_time_hours=(
+                spare_lead_time_hours
+                if spare_lead_time_hours is not None
+                else RepairPolicy.spare_lead_time_hours
+            ),
         )
-        for replication_seed in spawn_seeds(seed, replications)
-    ]
-    folds = {name: _MetricFold(name) for name in _METRICS}
-    errors: list[tuple[int, str]] = []
-    outcome: SweepOutcome
-    for outcome in sweep_iter(
-        _run_replication,
-        tasks,
-        processes=max_workers,
-        retries=retries,
-    ):
-        if not outcome.ok:
-            errors.append(
-                (
-                    outcome.index,
-                    f"{type(outcome.error).__name__}: {outcome.error}",
-                )
-            )
-            continue
-        report = outcome.result
-        for name, fold in folds.items():
-            fold.push(float(getattr(report, name)))
-    completed = replications - len(errors)
-    if completed == 0:
-        raise SimulationError(
-            f"all {replications} replications failed; first error: "
-            f"{errors[0][1]}"
-        )
+    completed, metrics, errors = _run_ensemble(
+        machine,
+        replications,
+        horizon_hours,
+        seed,
+        ci,
+        max_workers,
+        retries,
+        _METRICS,
+        _report_field,
+        repair_policy=policy,
+        intensity=intensity,
+        health_test_effectiveness=health_test_effectiveness,
+    )
     return EnsembleReport(
         machine=machine,
         horizon_hours=horizon_hours,
         replications=completed,
         failed_replications=len(errors),
         ci=ci,
-        metrics={name: fold.stats(ci) for name, fold in folds.items()},
-        errors=tuple(errors),
+        metrics=metrics,
+        errors=errors,
     )

@@ -62,7 +62,6 @@ class SimulationConfig:
     seed: int
     intensity: float
     health_test_effectiveness: float
-    presample: bool
     repair_policy: RepairPolicy
     initial_spares: dict[str, int]
     checkpoint_policy: CheckpointPolicy | None
@@ -118,10 +117,6 @@ class ClusterSimulator:
             failure is contained to one GPU by proactive health tests
             (the Tsubame-3 practice; see
             :class:`repro.sim.faults.FaultInjector`).
-        presample: Use the injector's vectorized pre-sampled draw
-            streams (fast default).  ``False`` selects the per-event
-            RNG reference path — same distributions, different per-seed
-            trajectories.
         keep_injected_log: Record every injected failure so
             :meth:`injected_log` works afterwards.  Monte-Carlo
             replications that only consume the
@@ -140,7 +135,6 @@ class ClusterSimulator:
         checkpoint_policy: CheckpointPolicy | None = None,
         profile: MachineProfile | None = None,
         health_test_effectiveness: float = 0.0,
-        presample: bool = True,
         keep_injected_log: bool = True,
         train: TrainingJobConfig | None = None,
     ) -> None:
@@ -182,7 +176,6 @@ class ClusterSimulator:
             seed=seed,
             intensity=intensity,
             health_test_effectiveness=health_test_effectiveness,
-            presample=presample,
             repair_policy=repair_policy,
             initial_spares=dict(initial_spares),
             checkpoint_policy=checkpoint_policy,
@@ -204,7 +197,6 @@ class ClusterSimulator:
             seed=seed,
             intensity=intensity,
             health_test_effectiveness=health_test_effectiveness,
-            presample=presample,
             record_injected=keep_injected_log,
         )
         self.scheduler: Scheduler | None = None

@@ -64,7 +64,6 @@ from repro.stream.online import (
     GKQuantileSketch,
     OnlineMtbf,
     OnlineMttr,
-    P2Quantile,
     RollingWindowStats,
     Welford,
 )
@@ -103,7 +102,6 @@ __all__ = [
     "MultiGpuBurstRule",
     "OnlineMtbf",
     "OnlineMttr",
-    "P2Quantile",
     "PageHinkleyDetector",
     "PrintSink",
     "RateShiftRule",

@@ -8,9 +8,6 @@ counterpart in :mod:`repro.core`:
   (Welford 1962).  Its mean is *exactly* the batch mean up to float
   rounding, which is what makes the monitor's MTBF/MTTR parity
   guarantee tight.
-* :class:`P2Quantile` — the P² algorithm (Jain & Chlamtac 1985): a
-  single quantile from five markers, constant memory, no guarantee
-  but excellent in practice.
 * :class:`GKQuantileSketch` — the Greenwald-Khanna sketch (SIGMOD
   2001): any quantile with a *guaranteed* rank error of at most
   ``epsilon * n``, in O((1/epsilon) log(epsilon n)) memory.  This is
@@ -26,7 +23,6 @@ counterpart in :mod:`repro.core`:
 from __future__ import annotations
 
 import math
-from bisect import insort
 from collections import deque
 from dataclasses import dataclass
 
@@ -34,7 +30,6 @@ from repro.errors import StreamError
 
 __all__ = [
     "Welford",
-    "P2Quantile",
     "GKQuantileSketch",
     "RollingWindowStats",
     "EwmaRate",
@@ -145,113 +140,6 @@ class Welford:
             out._m2 += est._m2 + delta * delta * out._n * est._n / n
             out._n = n
         return out
-
-
-class P2Quantile:
-    """Single-quantile P² estimator: five markers, constant memory.
-
-    Args:
-        q: Target quantile in (0, 1).
-    """
-
-    def __init__(self, q: float) -> None:
-        if not 0.0 < q < 1.0:
-            raise StreamError(f"quantile must lie in (0, 1), got {q}")
-        self._q = q
-        self._initial: list[float] = []
-        # Marker heights, positions (1-based), and desired positions.
-        self._heights: list[float] = []
-        self._positions: list[float] = []
-        self._desired: list[float] = []
-        self._increments = [0.0, q / 2.0, q, (1.0 + q) / 2.0, 1.0]
-        self._n = 0
-
-    @property
-    def q(self) -> float:
-        return self._q
-
-    @property
-    def n(self) -> int:
-        """Observations seen."""
-        return self._n
-
-    def push(self, value: float) -> None:
-        """Fold one observation into the marker set."""
-        self._n += 1
-        if self._n <= 5:
-            insort(self._initial, value)
-            if self._n == 5:
-                self._heights = list(self._initial)
-                self._positions = [1.0, 2.0, 3.0, 4.0, 5.0]
-                q = self._q
-                self._desired = [
-                    1.0,
-                    1.0 + 2.0 * q,
-                    1.0 + 4.0 * q,
-                    3.0 + 2.0 * q,
-                    5.0,
-                ]
-            return
-
-        heights, positions = self._heights, self._positions
-        if value < heights[0]:
-            heights[0] = value
-            cell = 0
-        elif value >= heights[4]:
-            heights[4] = value
-            cell = 3
-        else:
-            cell = 0
-            while value >= heights[cell + 1]:
-                cell += 1
-        for i in range(cell + 1, 5):
-            positions[i] += 1.0
-        for i in range(5):
-            self._desired[i] += self._increments[i]
-
-        for i in (1, 2, 3):
-            d = self._desired[i] - positions[i]
-            if (d >= 1.0 and positions[i + 1] - positions[i] > 1.0) or (
-                d <= -1.0 and positions[i - 1] - positions[i] < -1.0
-            ):
-                step = 1.0 if d >= 1.0 else -1.0
-                candidate = self._parabolic(i, step)
-                if heights[i - 1] < candidate < heights[i + 1]:
-                    heights[i] = candidate
-                else:
-                    heights[i] = self._linear(i, step)
-                positions[i] += step
-
-    def _parabolic(self, i: int, step: float) -> float:
-        h, p = self._heights, self._positions
-        return h[i] + step / (p[i + 1] - p[i - 1]) * (
-            (p[i] - p[i - 1] + step)
-            * (h[i + 1] - h[i])
-            / (p[i + 1] - p[i])
-            + (p[i + 1] - p[i] - step)
-            * (h[i] - h[i - 1])
-            / (p[i] - p[i - 1])
-        )
-
-    def _linear(self, i: int, step: float) -> float:
-        h, p = self._heights, self._positions
-        j = i + int(step)
-        return h[i] + step * (h[j] - h[i]) / (p[j] - p[i])
-
-    def value(self) -> float:
-        """Current quantile estimate.
-
-        Raises:
-            StreamError: Before the first observation.
-        """
-        if self._n == 0:
-            raise StreamError("P2Quantile has seen no observations")
-        if self._n <= 5:
-            rank = max(
-                0, min(self._n - 1, math.ceil(self._q * self._n) - 1)
-            )
-            return self._initial[rank]
-        return self._heights[2]
 
 
 @dataclass

@@ -102,7 +102,9 @@ def config_to_dict(config: SimulationConfig) -> dict:
         "seed": config.seed,
         "intensity": config.intensity,
         "health_test_effectiveness": config.health_test_effectiveness,
-        "presample": config.presample,
+        # Legacy key: the injector has one draw path, so the value is
+        # fixed; it stays in the header so traces remain byte-stable.
+        "presample": True,
         "repair": {
             "num_technicians": config.repair_policy.num_technicians,
             "spare_lead_time_hours": (
@@ -160,10 +162,17 @@ def _training_config_from_dict(data: dict):
 def config_from_dict(data: dict) -> SimulationConfig:
     """Rebuild a :class:`SimulationConfig` from a trace header.
 
+    The legacy ``presample`` key must be present and a bool but is
+    otherwise ignored: replay feeds recorded failures and never draws.
+
     Raises:
         TraceError: On missing or malformed keys.
     """
     try:
+        if not isinstance(data["presample"], bool):
+            raise TypeError(
+                f"presample must be a bool, got {data['presample']!r}"
+            )
         repair = data["repair"]
         checkpoint = data["checkpoint"]
         workload = data["workload"]
@@ -172,7 +181,6 @@ def config_from_dict(data: dict) -> SimulationConfig:
             seed=data["seed"],
             intensity=data["intensity"],
             health_test_effectiveness=data["health_test_effectiveness"],
-            presample=data["presample"],
             repair_policy=RepairPolicy(
                 num_technicians=repair["num_technicians"],
                 spare_lead_time_hours=repair["spare_lead_time_hours"],

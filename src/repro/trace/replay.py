@@ -213,7 +213,6 @@ class ReplaySimulator:
             seed=base.seed,
             intensity=base.intensity,
             health_test_effectiveness=base.health_test_effectiveness,
-            presample=base.presample,
             repair_policy=repair_policy,
             initial_spares=dict(initial_spares),
             checkpoint_policy=checkpoint_policy,

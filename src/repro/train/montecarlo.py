@@ -1,13 +1,11 @@
 """Monte-Carlo ensembles of gang-training runs.
 
-Mirrors :mod:`repro.sim.montecarlo` for the training vertical: R
-independently-seeded :class:`~repro.sim.simulator.ClusterSimulator`
-runs with a gang job, folded into constant-memory ensemble statistics
-over the ETTF metrics.  The same determinism contract holds — seeds
-from :func:`~repro.sim.montecarlo.spawn_seeds` (prefix-stable),
-dispatch through the fault-tolerant :func:`repro.parallel.sweep_iter`
-(input-ordered outcomes), and a sequential fold — so serial and
-parallel ensembles are bit-identical for a fixed master seed.
+The training vertical's entry point to the ensemble core in
+:mod:`repro.sim.montecarlo`: R independently-seeded
+:class:`~repro.sim.simulator.ClusterSimulator` runs with a gang job,
+folded into constant-memory ensemble statistics over the ETTF metrics.
+The same determinism contract holds, so serial and parallel ensembles
+are bit-identical for a fixed master seed.
 """
 
 from __future__ import annotations
@@ -15,11 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from repro.errors import SimulationError, ValidationError
-from repro.parallel import SweepOutcome, sweep_iter
 from repro.sim.checkpoint import CheckpointPolicy
-from repro.sim.montecarlo import MetricStats, _MetricFold, spawn_seeds
-from repro.sim.simulator import ClusterSimulator, SimulationReport
+from repro.sim.montecarlo import MetricStats, _ensemble_summary, _run_ensemble
+from repro.sim.simulator import SimulationReport
 from repro.train.config import TrainingJobConfig
 
 __all__ = [
@@ -73,59 +69,9 @@ class TrainEnsembleReport:
 
     def summary(self) -> str:
         """Human-readable multi-line summary."""
-        lines = [
-            f"{self.machine}: gang of {self.gang_nodes} nodes, "
-            f"{self.replications} replications x "
-            f"{self.horizon_hours:g} h "
-            f"({int(self.ci * 100)}% percentile intervals)"
-        ]
-        if self.failed_replications:
-            lines.append(
-                f"  {self.failed_replications} replication(s) failed"
-            )
-        lines.extend(f"  {self.metrics[name]}" for name in TRAIN_METRICS)
-        return "\n".join(lines)
-
-
-@dataclass(frozen=True)
-class _TrainTask:
-    """Picklable spec of one training replication."""
-
-    machine: str
-    seed: int
-    horizon_hours: float
-    intensity: float
-    presample: bool
-    gang_nodes: int
-    step_time_hours: float
-    detection_delay_hours: float
-    total_work_hours: float | None
-    checkpoint_interval_hours: float
-    checkpoint_cost_hours: float
-    restart_cost_hours: float
-
-
-def _run_train_replication(task: _TrainTask) -> SimulationReport:
-    """Worker entry point: one seeded training run, report only."""
-    simulator = ClusterSimulator(
-        task.machine,
-        seed=task.seed,
-        intensity=task.intensity,
-        presample=task.presample,
-        keep_injected_log=False,
-        checkpoint_policy=CheckpointPolicy(
-            interval_hours=task.checkpoint_interval_hours,
-            cost_hours=task.checkpoint_cost_hours,
-            restart_cost_hours=task.restart_cost_hours,
-        ),
-        train=TrainingJobConfig(
-            num_nodes=task.gang_nodes,
-            step_time_hours=task.step_time_hours,
-            detection_delay_hours=task.detection_delay_hours,
-            total_work_hours=task.total_work_hours,
-        ),
-    )
-    return simulator.run(task.horizon_hours)
+        return _ensemble_summary(
+            f"{self.machine}: gang of {self.gang_nodes} nodes, ", self
+        )
 
 
 def run_train_replications(
@@ -138,7 +84,6 @@ def run_train_replications(
     intensity: float = 1.0,
     ci: float = 0.95,
     max_workers: int | None = None,
-    presample: bool = True,
     retries: int = 0,
 ) -> TrainEnsembleReport:
     """Run a Monte-Carlo ensemble of gang-training runs.
@@ -155,7 +100,6 @@ def run_train_replications(
         ci: Confidence level of the percentile intervals, in (0, 1).
         max_workers: ``None``/``1`` serial; ``N > 1`` fans out over the
             warm worker pool.  Bit-identical at any worker count.
-        presample: Injector draw strategy.
         retries: Per-replication retry budget before recording failure.
 
     Returns:
@@ -166,57 +110,22 @@ def run_train_replications(
         ValidationError: On invalid ensemble parameters.
         SimulationError: If every replication failed.
     """
-    if replications < 1:
-        raise ValidationError(
-            f"replications must be >= 1, got {replications}"
-        )
-    if not 0.0 < ci < 1.0:
-        raise ValidationError(f"ci must lie in (0, 1), got {ci}")
     if train is None:
         train = TrainingJobConfig()
-    tasks = [
-        _TrainTask(
-            machine=machine,
-            seed=replication_seed,
-            horizon_hours=horizon_hours,
-            intensity=intensity,
-            presample=presample,
-            gang_nodes=train.num_nodes,
-            step_time_hours=train.step_time_hours,
-            detection_delay_hours=train.detection_delay_hours,
-            total_work_hours=train.total_work_hours,
-            checkpoint_interval_hours=checkpoint_policy.interval_hours,
-            checkpoint_cost_hours=checkpoint_policy.cost_hours,
-            restart_cost_hours=checkpoint_policy.restart_cost_hours,
-        )
-        for replication_seed in spawn_seeds(seed, replications)
-    ]
-    folds = {name: _MetricFold(name) for name in TRAIN_METRICS}
-    errors: list[tuple[int, str]] = []
-    outcome: SweepOutcome
-    for outcome in sweep_iter(
-        _run_train_replication,
-        tasks,
-        processes=max_workers,
-        retries=retries,
-    ):
-        if not outcome.ok:
-            errors.append(
-                (
-                    outcome.index,
-                    f"{type(outcome.error).__name__}: {outcome.error}",
-                )
-            )
-            continue
-        report = outcome.result
-        for name, fold in folds.items():
-            fold.push(_metric_value(report, name))
-    completed = replications - len(errors)
-    if completed == 0:
-        raise SimulationError(
-            f"all {replications} training replications failed; first "
-            f"error: {errors[0][1]}"
-        )
+    completed, metrics, errors = _run_ensemble(
+        machine,
+        replications,
+        horizon_hours,
+        seed,
+        ci,
+        max_workers,
+        retries,
+        TRAIN_METRICS,
+        _metric_value,
+        intensity=intensity,
+        checkpoint_policy=checkpoint_policy,
+        train=train,
+    )
     return TrainEnsembleReport(
         machine=machine,
         horizon_hours=horizon_hours,
@@ -224,8 +133,8 @@ def run_train_replications(
         replications=completed,
         failed_replications=len(errors),
         ci=ci,
-        metrics={name: fold.stats(ci) for name, fold in folds.items()},
-        errors=tuple(errors),
+        metrics=metrics,
+        errors=errors,
     )
 
 

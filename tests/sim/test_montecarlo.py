@@ -5,14 +5,40 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SimulationError, ValidationError
+from repro.sim import montecarlo
+from repro.sim.checkpoint import CheckpointPolicy
 from repro.sim.montecarlo import (
     EnsembleReport,
-    _ReplicationTask,
-    _run_replication,
     run_replications,
     spawn_seeds,
 )
 from repro.sim.simulator import ClusterSimulator
+from repro.train.config import TrainingJobConfig
+from repro.train.montecarlo import run_train_replications
+
+
+def _sim_ensemble(**kwargs):
+    return run_replications("tsubame2", horizon_hours=300.0, **kwargs)
+
+
+def _train_ensemble(**kwargs):
+    return run_train_replications(
+        "tsubame3",
+        horizon_hours=300.0,
+        checkpoint_policy=CheckpointPolicy(
+            interval_hours=2.0, cost_hours=0.1, restart_cost_hours=0.5
+        ),
+        train=TrainingJobConfig(num_nodes=32),
+        **kwargs,
+    )
+
+
+#: Both public entry points run the same ensemble core.
+ENTRY_POINTS = pytest.mark.parametrize(
+    "ensemble",
+    [_sim_ensemble, _train_ensemble],
+    ids=["run_replications", "run_train_replications"],
+)
 
 
 class TestSpawnSeeds:
@@ -165,19 +191,44 @@ class TestEnsemble:
         with pytest.raises(SimulationError, match="replications failed"):
             run_replications("tsubame2", 2, horizon_hours=-1.0)
 
-    def test_failed_replications_attributed(self):
-        # A poisoned task (bad machine) would fail construction; use a
-        # direct worker call to check attribution plumbing instead.
-        task = _ReplicationTask(
-            machine="tsubame2",
-            seed=1,
-            horizon_hours=100.0,
-            intensity=1.0,
-            health_test_effectiveness=0.0,
-            num_technicians=None,
-            spare_lead_time_hours=None,
-            presample=True,
+    @ENTRY_POINTS
+    def test_failed_replications_attributed(self, ensemble, monkeypatch):
+        # Poison exactly one replication: the fold must skip it,
+        # attribute it by index, and summarise the survivors exactly
+        # as an ensemble over the remaining seeds would.
+        seeds = spawn_seeds(11, 4)
+        poisoned = seeds[2]
+        real_worker = montecarlo._run_replication
+
+        def flaky_worker(task):
+            if task.seed == poisoned:
+                raise RuntimeError("poisoned replication")
+            return real_worker(task)
+
+        monkeypatch.setattr(montecarlo, "_run_replication", flaky_worker)
+        report = ensemble(replications=4, seed=11, max_workers=1)
+        assert report.failed_replications == 1
+        assert report.replications == 3
+        assert report.errors == (
+            (2, "RuntimeError: poisoned replication"),
         )
-        report = _run_replication(task)
-        assert report.horizon_hours == 100.0
-        assert report.machine == "tsubame2"
+        assert "1 replication(s) failed" in report.summary()
+
+        survivors = [s for s in seeds if s != poisoned]
+        monkeypatch.setattr(montecarlo, "_run_replication", real_worker)
+        monkeypatch.setattr(
+            montecarlo, "spawn_seeds", lambda seed, n: survivors
+        )
+        expected = ensemble(replications=3, seed=11, max_workers=1)
+        assert expected.failed_replications == 0
+        assert report.metrics == expected.metrics
+
+
+@ENTRY_POINTS
+@pytest.mark.parametrize(
+    "ci, label", [(0.29, "29%"), (0.57, "57%"), (0.95, "95%")]
+)
+def test_summary_labels_confidence_level(ensemble, ci, label):
+    # Regression: the label used to truncate (0.29 printed "28%").
+    text = ensemble(replications=2, seed=1, ci=ci).summary()
+    assert f"({label} percentile intervals)" in text

@@ -11,7 +11,6 @@ from repro.stream.online import (
     GKQuantileSketch,
     OnlineMtbf,
     OnlineMttr,
-    P2Quantile,
     RollingWindowStats,
     Welford,
 )
@@ -37,41 +36,6 @@ class TestWelford:
         acc.push(3.0)
         assert acc.mean == 3.0
         assert acc.variance == 0.0
-
-
-class TestP2Quantile:
-    def test_rejects_bad_quantile(self):
-        for q in (0.0, 1.0, -0.5):
-            with pytest.raises(StreamError):
-                P2Quantile(q)
-
-    def test_no_observations_raises(self):
-        with pytest.raises(StreamError):
-            P2Quantile(0.5).value()
-
-    def test_small_stream_is_exact(self):
-        est = P2Quantile(0.5)
-        for value in [5.0, 1.0, 3.0]:
-            est.push(value)
-        assert est.value() == 3.0
-
-    def test_median_of_large_stream_is_close(self):
-        rng = np.random.default_rng(1)
-        values = rng.exponential(10.0, size=5000)
-        est = P2Quantile(0.5)
-        for value in values:
-            est.push(float(value))
-        exact = float(np.quantile(values, 0.5))
-        assert est.value() == pytest.approx(exact, rel=0.1)
-
-    def test_p99_of_normal_stream_is_close(self):
-        rng = np.random.default_rng(2)
-        values = rng.normal(100.0, 15.0, size=20000)
-        est = P2Quantile(0.99)
-        for value in values:
-            est.push(float(value))
-        exact = float(np.quantile(values, 0.99))
-        assert est.value() == pytest.approx(exact, rel=0.05)
 
 
 def _rank_error(sorted_values, estimate, q):

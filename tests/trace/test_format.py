@@ -33,7 +33,6 @@ def make_config(**overrides) -> SimulationConfig:
         seed=3,
         intensity=1.0,
         health_test_effectiveness=0.0,
-        presample=True,
         repair_policy=RepairPolicy(
             hardware_categories=frozenset({"GPU", "CPU"})
         ),
@@ -71,13 +70,31 @@ class TestConfigRoundTrip:
             checkpoint_policy=CheckpointPolicy(6.0, 0.2),
             workload=WorkloadConfig(),
             health_test_effectiveness=0.5,
-            presample=False,
         )
         assert config_from_dict(config_to_dict(config)) == config
 
     def test_malformed_raises(self):
         data = config_to_dict(make_config())
         del data["repair"]
+        with pytest.raises(TraceError, match="malformed"):
+            config_from_dict(data)
+
+    def test_presample_key_is_a_fixed_legacy_flag(self):
+        data = config_to_dict(make_config())
+        assert data["presample"] is True
+        data["presample"] = False
+        assert config_from_dict(data) == make_config()
+
+    @pytest.mark.parametrize("value", ["yes", 1, None])
+    def test_presample_key_must_be_bool(self, value):
+        data = config_to_dict(make_config())
+        data["presample"] = value
+        with pytest.raises(TraceError, match="malformed"):
+            config_from_dict(data)
+
+    def test_presample_key_required(self):
+        data = config_to_dict(make_config())
+        del data["presample"]
         with pytest.raises(TraceError, match="malformed"):
             config_from_dict(data)
 

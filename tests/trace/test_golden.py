@@ -28,6 +28,21 @@ def test_golden_replays_bit_exactly(name):
     assert result.bit_exact
 
 
+def test_legacy_presample_false_header_replays(tmp_path):
+    # Traces recorded while the injector still had a per-event draw
+    # path may carry "presample": false.  Replay never draws, so the
+    # key is ignored and such traces still verify bit-exactly.
+    text = (GOLDEN_DIR / "t2_baseline.jsonl").read_text()
+    assert text.count('"presample":true') == 1
+    legacy = tmp_path / "t2_legacy.jsonl"
+    legacy.write_text(
+        text.replace('"presample":true', '"presample":false')
+    )
+    trace, quarantined = read_trace(legacy)
+    assert not quarantined
+    assert replay(trace).bit_exact
+
+
 def test_corpus_is_complete():
     found = {p.stem for p in GOLDEN_DIR.glob("*.jsonl")}
     assert found == set(GOLDEN_NAMES)

@@ -90,7 +90,6 @@ _config = st.builds(
     health_test_effectiveness=st.floats(
         min_value=0.0, max_value=1.0, allow_nan=False
     ),
-    presample=st.booleans(),
     repair_policy=st.builds(
         RepairPolicy,
         num_technicians=st.integers(min_value=1, max_value=32),

@@ -10,7 +10,7 @@ Two acceptance properties from the issue:
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.machines.specs import get_machine
@@ -25,6 +25,10 @@ from repro.train.montecarlo import (
 )
 
 _TOL = 1e-6
+# The conservation check compares a sum of accounted components with the
+# engine clock, which reaches the same instant through a different sum;
+# the two may differ in the last few bits.
+_FLOAT_SLACK = 1e-9
 
 _policies = st.tuples(
     st.floats(min_value=0.5, max_value=5.0),    # interval
@@ -49,6 +53,14 @@ class TestLostWorkBound:
         total_work=st.one_of(
             st.none(), st.floats(min_value=5.0, max_value=80.0)
         ),
+    )
+    # A clean finite run whose checkpoint costs sum to a float two ulps
+    # above the completion time the engine schedules.
+    @example(
+        policy=(2.0, 0.2511856897386393, 0.0),
+        step=0.25,
+        times=[],
+        total_work=11.0,
     )
     def test_lost_work_bounded_by_interval_plus_step(
         self, policy, step, times, total_work
@@ -102,7 +114,10 @@ class TestLostWorkBound:
             + stats.checkpoint_overhead_hours
             + stats.restart_overhead_hours
             + stats.stall_hours
-        ) <= stats.elapsed_hours + len(times) * per_interrupt_bound
+        ) <= (
+            stats.elapsed_hours + len(times) * per_interrupt_bound
+            + _FLOAT_SLACK
+        )
         assert 0.0 <= stats.ettr <= 1.0 + _TOL
         if total_work is not None:
             assert stats.work_committed_hours <= total_work + _TOL
