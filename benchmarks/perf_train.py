@@ -6,7 +6,10 @@ At increasing failure intensities over a 2000-hour horizon, this
 times one full :class:`ClusterSimulator` run carrying a 512-node
 gang-training job (simulator + injector + repair + gang accounting),
 reporting processed engine events per second and the run's measured
-ETTR.  It then benchmarks
+ETTR.  Each tier also times a plain run of the same fleet, seed and
+intensity without the gang, interleaved with the gang runs, and
+records the gang's overhead as plain events/s over gang events/s
+(``gang_overhead_ratio``).  It then benchmarks
 :func:`repro.train.montecarlo.run_train_replications`: replications
 per second serially and across workers, asserting the two ensembles
 are bit-identical (the same serial-vs-parallel parity contract as
@@ -53,6 +56,9 @@ ENSEMBLE_REPLICATIONS = 16
 ENSEMBLE_HORIZON_HOURS = 500.0
 ENSEMBLE_GANG_NODES = 256
 ENSEMBLE_WORKERS = 4
+#: The ROADMAP's goal for ``gang_overhead_ratio``; recorded in the
+#: report, not asserted.
+GANG_OVERHEAD_TARGET = 1.5
 
 
 def _selected_scales() -> dict[str, int]:
@@ -84,15 +90,18 @@ def _replications() -> int:
     return int(raw) if raw else ENSEMBLE_REPLICATIONS
 
 
-def _best_of(fn, repeats: int = 3):
-    """Best wall-clock of ``repeats`` calls, plus the last result."""
-    best = float("inf")
-    result = None
+def _best_interleaved(fns, repeats: int = 3):
+    """Best wall-clock of each of ``fns`` over ``repeats`` rounds that
+    call them in turn, plus each one's last result.  Interleaving puts
+    a burst of host load on both sides of a ratio instead of one."""
+    best = [float("inf")] * len(fns)
+    results = [None] * len(fns)
     for _ in range(repeats):
-        start = time.perf_counter()
-        result = fn()
-        best = min(best, time.perf_counter() - start)
-    return best, result
+        for index, fn in enumerate(fns):
+            start = time.perf_counter()
+            results[index] = fn()
+            best[index] = min(best[index], time.perf_counter() - start)
+    return best, results
 
 
 def _policy(gang_nodes: int, intensity: float):
@@ -129,17 +138,41 @@ def _run_once(intensity: float):
     return simulator.engine.processed, report
 
 
+def _run_plain(intensity: float) -> int:
+    """The same fleet, seed and intensity with no gang; returns the
+    processed engine events."""
+    simulator = ClusterSimulator(
+        BENCH_MACHINE,
+        seed=BENCH_SEED,
+        intensity=intensity,
+        keep_injected_log=False,
+    )
+    simulator.run(HORIZON_HOURS)
+    return simulator.engine.processed
+
+
 def _bench_scale(factor: int) -> dict:
     intensity = float(factor)
-    wall_s, (events, report) = _best_of(lambda: _run_once(intensity))
+    (wall_s, plain_wall_s), ((events, report), plain_events) = (
+        _best_interleaved([
+            lambda: _run_once(intensity),
+            lambda: _run_plain(intensity),
+        ])
+    )
     stats = report.train
+    events_per_s = events / wall_s if wall_s else 0.0
+    plain_events_per_s = plain_events / plain_wall_s if plain_wall_s else 0.0
     return {
         "intensity": intensity,
         "horizon_hours": HORIZON_HOURS,
         "gang_nodes": GANG_NODES,
         "wall_s": wall_s,
         "events": events,
-        "events_per_s": events / wall_s if wall_s else 0.0,
+        "events_per_s": events_per_s,
+        "plain_events_per_s": plain_events_per_s,
+        "gang_overhead_ratio": (
+            plain_events_per_s / events_per_s if events_per_s else 0.0
+        ),
         "failures": report.failures_injected,
         "interrupts": stats.interrupts,
         "ettr": stats.ettr,
@@ -204,6 +237,7 @@ def run_benchmark() -> dict:
         "cpu_count": os.cpu_count() or 1,
         "python": platform.python_version(),
         "numpy": np.__version__,
+        "gang_overhead_target": GANG_OVERHEAD_TARGET,
         "scales": {
             label: _bench_scale(factor)
             for label, factor in _selected_scales().items()
@@ -224,6 +258,8 @@ def main() -> None:
             f"{label:>4} intensity: {scale['events_per_s']:,.0f} "
             f"events/s ({scale['events']} events in "
             f"{scale['wall_s'] * 1e3:.1f} ms), "
+            f"plain {scale['plain_events_per_s']:,.0f} events/s "
+            f"(gang overhead {scale['gang_overhead_ratio']:.2f}x), "
             f"{scale['interrupts']} interrupts, "
             f"ETTR {scale['ettr']:.4f}"
         )

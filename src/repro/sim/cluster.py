@@ -11,6 +11,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.errors import SimulationError
 from repro.machines.specs import MachineSpec
 
@@ -87,6 +89,9 @@ class Cluster:
         # event history.
         self._available: list[int] = list(range(spec.num_nodes))
         self._available_slot: list[int] = list(range(spec.num_nodes))
+        # The same health set as a mask in node-id order, so picking
+        # the lowest-numbered healthy nodes is one scan in C.
+        self._up = np.ones(spec.num_nodes, dtype=bool)
 
     @property
     def spec(self) -> MachineSpec:
@@ -113,9 +118,18 @@ class Cluster:
             )
         return self._nodes[node_id]
 
-    def available_nodes(self) -> list[int]:
-        """Ids of nodes currently healthy, in ascending order."""
-        return [n.node_id for n in self._nodes if n.is_available]
+    def available_nodes(
+        self, limit: int | None = None, busy: np.ndarray | None = None
+    ) -> list[int]:
+        """Ids of nodes currently healthy, in ascending order.
+
+        Args:
+            limit: Return only the ``limit`` lowest-numbered ids.
+            busy: Bool mask indexed by node id; nodes set in it are
+                left out (a scheduler's already-assigned nodes).
+        """
+        free = self._up if busy is None else self._up & ~busy
+        return np.flatnonzero(free)[:limit].tolist()
 
     def num_available(self) -> int:
         """Count of healthy nodes."""
@@ -149,10 +163,12 @@ class Cluster:
         self._available_slot[last] = slot
         self._available.pop()
         self._available_slot[node_id] = -1
+        self._up[node_id] = False
 
     def _mark_available(self, node_id: int) -> None:
         self._available_slot[node_id] = len(self._available)
         self._available.append(node_id)
+        self._up[node_id] = True
 
     # -- state transitions -------------------------------------------------
 

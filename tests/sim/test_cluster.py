@@ -1,6 +1,9 @@
 """Tests for the cluster state machine."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import SimulationError
 from repro.machines.specs import TSUBAME3
@@ -139,3 +142,55 @@ class TestAvailabilityIndex:
         cluster.start_repair(4, time=3.0)
         cluster.complete_repair(4, time=4.0)
         assert cluster.num_available() == TSUBAME3.num_nodes
+
+
+def scan_available(cluster):
+    """Oracle: healthy node ids by a per-node scan, ascending."""
+    return [
+        i for i in range(cluster.num_nodes)
+        if cluster.node(i).state is NodeState.HEALTHY
+    ]
+
+
+# A handful of node ids, so re-failures and repairs of the same node
+# are common; the last id checks the far end of the mask.
+_NODE_IDS = st.sampled_from([0, 1, 2, 3, 5, 8, TSUBAME3.num_nodes - 1])
+_STEPS = st.lists(
+    st.tuples(st.sampled_from(["fail", "start", "complete"]), _NODE_IDS),
+    max_size=40,
+)
+
+
+class TestOrderedHealthMask:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        steps=_STEPS,
+        limit=st.one_of(st.integers(0, 12), st.just(TSUBAME3.num_nodes)),
+        busy_seed=st.integers(0, 2**32 - 1),
+    )
+    def test_available_nodes_matches_scan(self, steps, limit, busy_seed):
+        cluster = Cluster(TSUBAME3)
+        busy = np.random.default_rng(busy_seed).random(cluster.num_nodes) < 0.5
+        for time, (action, node_id) in enumerate(steps):
+            state = cluster.node(node_id).state
+            if action == "fail":
+                # Absorbed when the node is already down.
+                cluster.fail(node_id, "GPU", time=float(time))
+            elif action == "start":
+                if state is NodeState.FAILED:
+                    cluster.start_repair(node_id, time=float(time))
+                else:
+                    with pytest.raises(SimulationError):
+                        cluster.start_repair(node_id, time=float(time))
+            elif state is NodeState.REPAIRING:
+                cluster.complete_repair(node_id, time=float(time))
+            else:
+                with pytest.raises(SimulationError):
+                    cluster.complete_repair(node_id, time=float(time))
+            expected = scan_available(cluster)
+            assert cluster.available_nodes() == expected
+            assert cluster.available_nodes(limit=limit) == expected[:limit]
+            assert cluster.available_nodes(busy=busy) == [
+                i for i in expected if not busy[i]
+            ]
+            assert cluster.num_available() == len(expected)

@@ -5,6 +5,7 @@ and assert structural invariants that must hold regardless of the
 random stream.
 """
 
+import numpy as np
 import pytest
 
 from repro.core.breakdown import category_breakdown
@@ -80,10 +81,15 @@ def test_scheduler_invariants(seed):
     assert stats.useful_node_hours >= 0.0
     assert stats.lost_node_hours >= 0.0
     assert 0.0 <= stats.goodput_fraction <= 1.0
-    # No node is double-booked at the end of the run.
+    # No node is double-booked at the end of the run: the running
+    # jobs' node sets are pairwise disjoint, and together they are
+    # exactly the scheduler's node map and its busy mask.
     scheduler = simulator.scheduler
-    assigned = list(scheduler._node_to_job)
-    assert len(assigned) == len(set(assigned))
+    node_sets = [entry.nodes for entry in scheduler._running.values()]
+    assigned = set().union(*node_sets)
+    assert sum(len(nodes) for nodes in node_sets) == len(assigned)
+    assert assigned == set(scheduler._node_to_job)
+    assert assigned == set(np.flatnonzero(scheduler._busy).tolist())
     # Running jobs occupy only healthy nodes or nodes that failed
     # this instant (the failure handler runs synchronously, so by the
     # end of the run every running job's nodes are healthy).

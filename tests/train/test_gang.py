@@ -257,3 +257,53 @@ class TestLifecycle:
         stats = gang.finalize(3.0)
         assert stats.restarts == 1
         assert stats.stall_hours == pytest.approx(1.0)
+
+
+class TestMemberPick:
+    def test_restart_takes_lowest_numbered_healthy_nodes(self):
+        engine, cluster, gang = make_gang(total_work=None, num_nodes=4)
+        gang.start()
+        assert gang.members == frozenset(range(4))
+
+        def fail_low_ids_then_repair_one():
+            for node_id in (1, 2, 5):
+                cluster.fail(node_id, "GPU", engine.now, ())
+            fail_member(engine, cluster, gang)  # node 0
+            cluster.start_repair(1, engine.now)
+            cluster.complete_repair(1, engine.now)
+
+        engine.schedule_at(1.5, fail_low_ids_then_repair_one)
+        engine.run_until(2.0)
+        healthy = [
+            i for i in range(cluster.num_nodes)
+            if cluster.node(i).is_available
+        ]
+        assert gang.members == frozenset(healthy[:4]) == {1, 3, 4, 6}
+
+    def test_starved_gang_skips_the_node_scan(self, monkeypatch):
+        engine, cluster, gang = make_gang(
+            total_work=None, num_nodes=cluster_size(),
+            detection_delay=0.0,
+        )
+        gang.start()
+        scans = []
+        original = Cluster.available_nodes
+
+        def counting(self, *args, **kwargs):
+            scans.append(1)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(Cluster, "available_nodes", counting)
+        for node_id in (0, 1):
+            cluster.fail(node_id, "GPU", engine.now, ())
+            cluster.start_repair(node_id, engine.now)
+        gang.handle_node_failure(0, "GPU")
+        cluster.complete_repair(0, engine.now)
+        for _ in range(3):
+            gang.handle_node_repair(0)  # still one node short
+        assert scans == []
+        assert not gang.running
+        cluster.complete_repair(1, engine.now)
+        gang.handle_node_repair(1)
+        assert len(scans) == 1
+        assert gang.running
