@@ -9,6 +9,13 @@ and reports processed events per second.  The retired per-event draw
 path is no longer run; its last measured timings are carried verbatim
 in the report's ``historical_reference`` block for comparison.
 
+An ``a100_1x`` tier runs the 8-GPU A100 fleet at its historical rate,
+where multi-GPU failures take the injector's sequential
+topology-affinity slot pick; it records the multi-GPU failure count
+beside events per second, and carries the tier's measurement from
+before the bus-mate table (when every pick walked the topology graph)
+as a frozen ``before`` block.
+
 It then benchmarks :func:`repro.sim.montecarlo.run_replications`:
 replications per second serially and across workers, asserting the
 two ensembles are bit-identical (the serial-vs-parallel parity
@@ -49,6 +56,9 @@ SCALES = {"1x": 1, "10x": 10, "100x": 100}
 ENSEMBLE_REPLICATIONS = 24
 ENSEMBLE_HORIZON_HOURS = 500.0
 ENSEMBLE_WORKERS = 4
+#: The multi-GPU tier's fleet: eight GPUs per node behind four PCIe
+#: switches.
+MULTI_GPU_MACHINE = "a100"
 
 #: The retired per-event injector path (one RNG round-trip per draw and
 #: a fleet-sized healthy-node scan per event), as last measured before
@@ -79,6 +89,22 @@ HISTORICAL_REFERENCE = {
             "failures": 13096,
         },
     },
+}
+
+
+#: The ``a100_1x`` tier as last measured while ``choose_slots`` walked
+#: the networkx topology graph for every candidate slot, with the same
+#: seed, machine and horizon.  Frozen; never re-measured.
+A100_BEFORE = {
+    "note": (
+        "graph-walk slot picks, median of five best-of-3 runs measured "
+        "once on 2 CPUs (Python 3.11.7, NumPy 2.4.6); not re-measured"
+    ),
+    "wall_s": 0.021069905000331346,
+    "events": 2962,
+    "events_per_s": 140579.65614716438,
+    "failures": 1425,
+    "multi_gpu_failures": 62,
 }
 
 
@@ -122,10 +148,10 @@ def _best_of(fn, repeats: int = 3):
     return best, result
 
 
-def _run_once(intensity: float):
+def _run_once(intensity: float, machine: str = BENCH_MACHINE):
     """One full simulation; returns (events processed, report)."""
     simulator = ClusterSimulator(
-        BENCH_MACHINE,
+        machine,
         seed=BENCH_SEED,
         intensity=intensity,
         keep_injected_log=False,
@@ -144,6 +170,30 @@ def _bench_scale(factor: int) -> dict:
         "events": events,
         "events_per_s": events / wall_s if wall_s else 0.0,
         "failures": report.failures_injected,
+    }
+
+
+def _bench_multi_gpu() -> dict:
+    wall_s, (events, report) = _best_of(
+        lambda: _run_once(1.0, MULTI_GPU_MACHINE)
+    )
+    # Same seed, so the same failures; counted on an untimed run that
+    # keeps the injected log.
+    simulator = ClusterSimulator(MULTI_GPU_MACHINE, seed=BENCH_SEED)
+    simulator.run(HORIZON_HOURS)
+    return {
+        "machine": MULTI_GPU_MACHINE,
+        "intensity": 1.0,
+        "horizon_hours": HORIZON_HOURS,
+        "wall_s": wall_s,
+        "events": events,
+        "events_per_s": events / wall_s if wall_s else 0.0,
+        "failures": report.failures_injected,
+        "multi_gpu_failures": sum(
+            1 for record in simulator.injected_log()
+            if record.num_gpus_involved > 1
+        ),
+        "before": A100_BEFORE,
     }
 
 
@@ -215,6 +265,7 @@ def run_benchmark() -> dict:
             label: _bench_scale(factor)
             for label, factor in _selected_scales().items()
         },
+        "a100_1x": _bench_multi_gpu(),
         "ensemble": _bench_ensemble(),
         "historical_reference": HISTORICAL_REFERENCE,
     }
@@ -235,6 +286,12 @@ def main() -> None:
             f"{scale['wall_s'] * 1e3:.1f} ms); historical per-event "
             f"reference {historical[label]['events_per_s']:,.0f} events/s"
         )
+    tier = results["a100_1x"]
+    print(
+        f"a100 1x: {tier['events_per_s']:,.0f} events/s, "
+        f"{tier['multi_gpu_failures']} multi-GPU failures; before the "
+        f"bus-mate table {tier['before']['events_per_s']:,.0f} events/s"
+    )
     ensemble = results["ensemble"]
     print(
         f"ensemble ({ensemble['replications']} replications, "

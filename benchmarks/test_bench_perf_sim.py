@@ -2,10 +2,11 @@
 green.
 
 Runs the full :mod:`perf_sim` benchmark (1x/10x/100x failure
-intensity plus the replication ensemble), writes ``BENCH_sim.json``,
-and asserts the invariants that must never regress: every intensity
-tier simulates events at a positive rate, and the parallel ensemble
-is bit-identical to the serial one.
+intensity, the ``a100_1x`` multi-GPU tier and the replication
+ensemble), writes ``BENCH_sim.json``, and asserts the invariants that
+must never regress: every tier simulates events at a positive rate,
+the A100 tier injects multi-GPU failures, its ``before`` block stays
+frozen, and the parallel ensemble is bit-identical to the serial one.
 
 Parity is asserted on every host.  The replication-scaling criterion
 (>2x with 4 workers) is asserted only when the machine actually has
@@ -46,6 +47,19 @@ def test_historical_reference_is_frozen(results):
     reference = results["historical_reference"]
     assert "not re-measured" in reference["note"]
     assert set(reference["scales"]) == set(perf_sim.SCALES)
+
+
+def test_multi_gpu_tier_recorded(results):
+    tier = results["a100_1x"]
+    assert tier["machine"] == "a100"
+    assert tier["events_per_s"] > 0.0
+    assert tier["multi_gpu_failures"] > 0
+
+
+def test_multi_gpu_before_block_is_frozen(results):
+    before = results["a100_1x"]["before"]
+    assert before == perf_sim.A100_BEFORE
+    assert "not re-measured" in before["note"]
 
 
 def test_ensemble_parity_serial_vs_parallel(results):

@@ -35,6 +35,18 @@ class NodeTopology:
 
     machine: str
     graph: nx.Graph = field(repr=False)
+    #: ``bus_mates[slot] == frozenset(gpus_sharing_switch(slot))``,
+    #: derived once so multi-GPU slot picks never walk the graph.
+    bus_mates: tuple[frozenset[int], ...] = field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        bus_mates = tuple(
+            frozenset(self.gpus_sharing_switch(slot))
+            for slot in self.gpu_slots
+        )
+        object.__setattr__(self, "bus_mates", bus_mates)
 
     def components(self, kind: ComponentKind) -> list[Component]:
         """Return all components of one kind, sorted by slot."""
@@ -260,7 +272,7 @@ def build_node_topology(machine: str) -> NodeTopology:
     Cached: the networkx graph build is by far the most expensive of
     the per-replication constructor lookups, and the returned topology
     is treated as read-only everywhere (callers must not mutate
-    ``.graph``).
+    ``.graph``; the ``bus_mates`` table is derived from it).
 
     Raises:
         MachineError: If the machine is unknown.

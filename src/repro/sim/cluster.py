@@ -178,15 +178,20 @@ class Cluster:
         category: str,
         time: float,
         gpus_involved: tuple[int, ...] = (),
-    ) -> None:
+    ) -> bool:
         """Mark a node failed at ``time``.
 
         A failure on an already-failed node is absorbed into the
         ongoing outage (field logs show repeated hits during repair);
         it does not reset the failure clock.
 
+        Returns:
+            True if the node went from healthy to failed (a new outage
+            that needs a repair), False if the failure was absorbed.
+
         Raises:
-            SimulationError: On invalid GPU slots.
+            SimulationError: On invalid GPU slots; the node is left
+                unchanged.
         """
         node = self.node(node_id)
         for slot in gpus_involved:
@@ -194,14 +199,15 @@ class Cluster:
                 raise SimulationError(
                     f"GPU slot {slot} out of range on node {node_id}"
                 )
-            node.failed_gpus.add(slot)
+        node.failed_gpus.update(gpus_involved)
         if node.state is not NodeState.HEALTHY:
-            return
+            return False
         node.state = NodeState.FAILED
         node.current_category = category
         node.failed_at = time
         node.repair_started_at = None
         self._mark_unavailable(node_id)
+        return True
 
     def start_repair(self, node_id: int, time: float) -> None:
         """Mark a technician as having started on a failed node.

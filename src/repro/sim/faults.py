@@ -6,12 +6,13 @@ profile's category mix, GPU involvement and per-category lognormal
 repair durations.  Unlike the offline generator, the injector reacts
 to cluster state — failures land on nodes that are currently up.
 
-Every stochastic quantity is pre-sampled in vectorized NumPy batches
-and handed to the event loop as plain Python floats, so a simulated
-failure costs a couple of list indexes instead of several
-``Generator`` round-trips; paired with the cluster's O(1)
-healthy-node index this is what makes Monte-Carlo replication fast.
-Runs are bit-reproducible for a seed.
+Per-failure draws are pre-sampled in vectorized NumPy batches and
+handed to the event loop as plain Python scalars, so most failures
+cost a few list indexes.  A failure on some but not all of a node's
+GPUs also draws from the ``Generator`` once per slot, reading
+bus-mates from the topology's precomputed ``bus_mates`` table.
+Paired with the cluster's O(1) healthy-node index this is what makes
+Monte-Carlo replication fast.  Runs are bit-reproducible for a seed.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from repro.core.records import FailureLog, FailureRecord
 from repro.errors import SimulationError
 from repro.machines.specs import get_machine
 from repro.machines.topology import build_node_topology
-from repro.sim.cluster import Cluster, NodeState
+from repro.sim.cluster import Cluster
 from repro.sim.engine import SimulationEngine
 from repro.sim.repair import RepairService
 from repro.synth.arrivals import calibrate_weibull
@@ -68,7 +69,12 @@ class _Stream:
 
 
 class _BatchedFaultDraws:
-    """Vectorized pre-sampling of every per-failure random quantity."""
+    """Vectorized pre-sampling of every per-failure random quantity.
+
+    Each ``next_*`` attribute but ``next_ttr`` is a bound
+    ``_Stream.next``.  ``next_single_slot`` draws by raw propensity:
+    the ``num_involved == 1`` case of ``choose_slots``.
+    """
 
     def __init__(
         self,
@@ -83,26 +89,26 @@ class _BatchedFaultDraws:
     ) -> None:
         names = category_names
         num_categories = len(names)
-        self._gaps = _Stream(
+        self.next_gap = _Stream(
             lambda: renewal.sample_gaps(rng, _BATCH).tolist()
-        )
-        self._categories = _Stream(
+        ).next
+        self.next_category = _Stream(
             lambda: [
                 names[i]
                 for i in rng.choice(
                     num_categories, size=_BATCH, p=category_probabilities
                 )
             ]
-        )
+        ).next
         involvement = np.asarray(involvement_values)
-        self._involvement = _Stream(
+        self.next_involvement = _Stream(
             lambda: rng.choice(
                 involvement,
                 size=_SMALL_BATCH,
                 p=involvement_probabilities,
             ).tolist()
-        )
-        self._uniforms = _Stream(lambda: rng.random(_BATCH).tolist())
+        ).next
+        self.next_uniform = _Stream(lambda: rng.random(_BATCH).tolist()).next
         self._ttr = {
             name: _Stream(
                 lambda s=sampler: s.sample_batch(
@@ -114,32 +120,14 @@ class _BatchedFaultDraws:
         weights = np.asarray(slot_weights, dtype=float)
         slot_probabilities = weights / weights.sum()
         num_slots = len(slot_weights)
-        self._single_slots = _Stream(
+        self.next_single_slot = _Stream(
             lambda: rng.choice(
                 num_slots, size=_SMALL_BATCH, p=slot_probabilities
             ).tolist()
-        )
-
-    def next_gap(self) -> float:
-        return self._gaps.next()
-
-    def next_category(self) -> str:
-        return self._categories.next()
-
-    def next_involvement(self) -> int:
-        return self._involvement.next()
-
-    def next_uniform(self) -> float:
-        return self._uniforms.next()
+        ).next
 
     def next_ttr(self, category: str) -> float:
         return self._ttr[category].next()
-
-    def next_single_slot(self) -> int:
-        """One GPU slot by raw propensity (the ``num_involved == 1``
-        case of :func:`repro.synth.involvement.choose_slots`, where
-        the topology-affinity bonus never applies)."""
-        return self._single_slots.next()
 
 
 class FaultInjector:
@@ -318,11 +306,7 @@ class FaultInjector:
             if involved > 0:
                 gpus = self._choose_slots(involved)
         duration = draws.next_ttr(category)
-        was_healthy = (
-            self._cluster.node(node_id).state is NodeState.HEALTHY
-        )
-        self._cluster.fail(node_id, category, self._engine.now, gpus)
-        if was_healthy:
+        if self._cluster.fail(node_id, category, self._engine.now, gpus):
             self._repair.submit(node_id, category, duration)
         self._record(node_id, category, duration, gpus)
         for callback in self._failure_listeners:

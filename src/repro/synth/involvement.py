@@ -136,20 +136,19 @@ def choose_slots(
         return tuple(sorted(chosen))
 
     chosen: list[int] = []
+    near: set[int] = set()  # bus-mates of the slots chosen so far
     available = list(range(num_slots))
     for _ in range(num_involved):
-        weights = []
-        for slot in available:
-            weight = float(slot_weights[slot])
-            if any(
-                slot in topology.gpus_sharing_switch(done)
-                for done in chosen
-            ):
-                weight *= affinity
-            weights.append(weight)
+        weights = [
+            float(slot_weights[slot]) * affinity
+            if slot in near
+            else float(slot_weights[slot])
+            for slot in available
+        ]
         picked = weighted_sample_without_replacement(
             rng, available, weights, 1
         )[0]
         chosen.append(picked)
         available.remove(picked)
+        near |= topology.bus_mates[picked]
     return tuple(sorted(chosen))

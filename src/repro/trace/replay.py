@@ -24,7 +24,7 @@ from datetime import timedelta
 from repro.core.records import FailureLog, FailureRecord
 from repro.errors import ReplayDivergenceError, TraceError
 from repro.machines.specs import get_machine
-from repro.sim.cluster import Cluster, NodeState
+from repro.sim.cluster import Cluster
 from repro.sim.engine import SimulationEngine
 from repro.sim.jobs import Job
 from repro.sim.repair import RepairPolicy, RepairService, SparePool
@@ -139,11 +139,7 @@ class ReplayInjector:
         category = event["cat"]
         duration = event["ttr"]
         gpus = tuple(event["gpus"])
-        was_healthy = (
-            self._cluster.node(node_id).state is NodeState.HEALTHY
-        )
-        self._cluster.fail(node_id, category, self._engine.now, gpus)
-        if was_healthy:
+        if self._cluster.fail(node_id, category, self._engine.now, gpus):
             self._repair.submit(node_id, category, duration)
         self._record(node_id, category, duration, gpus)
         for callback in self._failure_listeners:

@@ -90,3 +90,13 @@ class TestTopologyErrors:
             topo.nvlink_peers(7)
         with pytest.raises(MachineError):
             topo.hop_distance(0, 9)
+
+
+@pytest.mark.parametrize("machine", ["tsubame2", "tsubame3", "a100", "h100"])
+def test_bus_mate_table_matches_graph(machine):
+    topo = build_node_topology(machine)
+    assert len(topo.bus_mates) == len(topo.gpu_slots)
+    for slot in topo.gpu_slots:
+        assert topo.bus_mates[slot] == frozenset(
+            topo.gpus_sharing_switch(slot)
+        )

@@ -62,6 +62,23 @@ class TestFailRepairCycle:
         with pytest.raises(SimulationError):
             cluster.fail(0, "GPU", time=1.0, gpus_involved=(9,))
 
+    def test_invalid_gpu_slot_leaves_node_unchanged(self, cluster):
+        # Slot 0 is valid, slot 99 is not: nothing may be applied.
+        with pytest.raises(SimulationError):
+            cluster.fail(3, "GPU", time=1.0, gpus_involved=(0, 99))
+        node = cluster.node(3)
+        assert node.state is NodeState.HEALTHY
+        assert node.failed_gpus == set()
+        assert cluster.num_available() == TSUBAME3.num_nodes
+
+    def test_fail_reports_new_outage(self, cluster):
+        assert cluster.fail(3, "GPU", time=1.0) is True
+        assert cluster.fail(3, "Memory", time=2.0) is False
+        cluster.start_repair(3, time=3.0)
+        assert cluster.fail(3, "GPU", time=4.0, gpus_involved=(1,)) is False
+        cluster.complete_repair(3, time=5.0)
+        assert cluster.fail(3, "GPU", time=6.0) is True
+
     def test_out_of_range_node_rejected(self, cluster):
         with pytest.raises(SimulationError):
             cluster.node(100000)

@@ -155,3 +155,22 @@ class TestHealthTests:
         with pytest.raises(SimulationError):
             ClusterSimulator("tsubame2",
                              health_test_effectiveness=1.5)
+
+
+class TestInjectorOffTheGraph:
+    def test_multi_gpu_picks_never_walk_the_topology(self, monkeypatch):
+        from repro.machines.topology import NodeTopology
+
+        simulator = ClusterSimulator("a100", seed=0)
+
+        def walk(self, gpu_slot):
+            raise AssertionError("topology graph walked during a run")
+
+        monkeypatch.setattr(NodeTopology, "gpus_sharing_switch", walk)
+        simulator.run(2000.0)
+        partial = [
+            record
+            for record in simulator.injected_log()
+            if 1 < record.num_gpus_involved < 8
+        ]
+        assert partial

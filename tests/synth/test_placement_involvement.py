@@ -2,14 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import CalibrationError, ValidationError
 from repro.machines.topology import build_node_topology
 from repro.synth.involvement import assign_involvement_labels, choose_slots
+from repro.synth.profiles import profile_for
 from repro.synth.placement import (
     assign_failures_to_nodes,
     sample_node_multiplicities,
 )
+from tests.synth.oracles import choose_slots_graph_walk
 
 
 class TestSampleNodeMultiplicities:
@@ -232,3 +236,39 @@ class TestChooseSlots:
             choose_slots(rng, 3, (1.0, 1.0))
         with pytest.raises(ValidationError):
             choose_slots(rng, 1, (1.0, 1.0), affinity=0.5)
+
+
+MACHINES = ["tsubame2", "tsubame3", "a100", "h100"]
+
+
+class TestChooseSlotsMatchesGraphWalk:
+    """The bus-mate table path must reproduce the graph walk exactly:
+    the same slots and the same generator state afterwards."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        machine=st.sampled_from(MACHINES),
+        affinity=st.sampled_from([1.0, 1.5, 3.0, 8.0]),
+        seed=st.integers(0, 2**32 - 1),
+        profile_weights=st.booleans(),
+    )
+    def test_same_slots_and_rng_state(
+        self, machine, affinity, seed, profile_weights
+    ):
+        topology = build_node_topology(machine)
+        num_slots = len(topology.gpu_slots)
+        weights = (
+            profile_for(machine).gpu_slot_weights
+            if profile_weights
+            else tuple(1.0 for _ in range(num_slots))
+        )
+        fast = np.random.default_rng(seed)
+        slow = np.random.default_rng(seed)
+        for num_involved in range(1, num_slots + 1):
+            assert choose_slots(
+                fast, num_involved, weights,
+                topology=topology, affinity=affinity,
+            ) == choose_slots_graph_walk(
+                slow, num_involved, weights, topology, affinity
+            )
+            assert fast.random() == slow.random()
