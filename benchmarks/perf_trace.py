@@ -20,9 +20,11 @@ Run::
 
     PYTHONPATH=src python benchmarks/perf_trace.py
 
-``REPRO_BENCH_TRACE_REPS`` sets repetitions per mode (default 7); the
-<=10% floor is asserted by the harness only at >= 5 reps — fewer reps
-just record their numbers.  ``REPRO_BENCH_TRACE_HORIZON`` resizes the
+``REPRO_BENCH_TRACE_REPS`` sets repetitions per mode (default 7).  This
+script asserts replay bit-exactness and the codec round trip, not the
+<=10% overhead floor: ``benchmarks/test_bench_perf_trace.py`` asserts
+that, and only at >= 5 reps (``floors_asserted``) — fewer reps just
+record their numbers.  ``REPRO_BENCH_TRACE_HORIZON`` resizes the
 simulated horizon (default 1000 hours).
 """
 

@@ -662,7 +662,7 @@ class ReproApp:
                 f"unknown machine {machine!r} "
                 f"(known: {', '.join(known_machines())})",
             )
-        seed = _as_int(params.get("seed", 0), "seed")
+        seed = _as_seed(params.get("seed", 0))
         failures = params.get("failures")
         if failures is not None:
             failures = _as_int(failures, "failures")
@@ -753,7 +753,7 @@ class ReproApp:
                 params.get("horizon_hours", 2000.0), "horizon_hours"
             ),
             replications=replications,
-            seed=_as_int(params.get("seed", 0), "seed"),
+            seed=_as_seed(params.get("seed", 0)),
             intensity=_as_float(
                 params.get("intensity", 1.0), "intensity"
             ),
@@ -947,6 +947,15 @@ def _as_int(value: Any, name: str) -> int:
     if isinstance(value, float) and not value.is_integer():
         raise HttpError(400, f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def _as_seed(value: Any) -> int:
+    # numpy seeds must be non-negative; a negative one is a client
+    # error, not a failure inside the simulator.
+    seed = _as_int(value, "seed")
+    if seed < 0:
+        raise HttpError(400, f"seed must be >= 0, got {seed}")
+    return seed
 
 
 def _as_float(value: Any, name: str) -> float:

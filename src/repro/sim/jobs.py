@@ -135,8 +135,15 @@ class WorkloadGenerator:
                 f"horizon must be positive, got {horizon_hours}"
             )
         config = self._config
+        rng = self._rng
         weights = np.asarray(config.size_weights, dtype=float)
-        probabilities = weights / weights.sum()
+        # numpy's own ``choice(p=)`` draw, unrolled: the normalized
+        # CDF is built once per call, and each size costs one uniform
+        # and one binary search, the same draw the library makes.
+        cdf = (weights / weights.sum()).cumsum()
+        cdf /= cdf[-1]
+        sizes = [int(size) for size in config.size_choices]
+        max_duration = config.max_duration_hours
         mu = float(
             np.log(config.mean_duration_hours)
             - 0.5 * config.duration_sigma**2
@@ -144,21 +151,16 @@ class WorkloadGenerator:
         jobs: list[Job] = []
         clock = 0.0
         while True:
-            clock += float(
-                self._rng.exponential(config.mean_interarrival_hours)
-            )
+            clock += float(rng.exponential(config.mean_interarrival_hours))
             if clock >= horizon_hours:
                 break
             duration = float(
-                np.clip(
-                    self._rng.lognormal(mu, config.duration_sigma),
-                    0.1,
-                    config.max_duration_hours,
+                min(
+                    max(rng.lognormal(mu, config.duration_sigma), 0.1),
+                    max_duration,
                 )
             )
-            size = int(
-                self._rng.choice(config.size_choices, p=probabilities)
-            )
+            size = sizes[int(cdf.searchsorted(rng.random(), side="right"))]
             jobs.append(
                 Job(
                     job_id=self._next_id,

@@ -238,7 +238,13 @@ class Scheduler:
     def _try_schedule(self) -> None:
         if self._in_maintenance or not self._pending:
             return
-        free = self._cluster.available_nodes(busy=self._busy)
+        # The queue can never take more nodes than it asks for in
+        # total, so the lowest-numbered that many free ids make the
+        # same fit and backfill decisions as the whole free list.
+        free = self._cluster.available_nodes(
+            limit=sum(job.num_nodes for job in self._pending),
+            busy=self._busy,
+        )
         scheduled_any = True
         while scheduled_any and self._pending:
             scheduled_any = False

@@ -117,6 +117,24 @@ class TestRoutes:
             )
             assert response.status == 400, payload
 
+    @pytest.mark.parametrize(
+        "path, payload",
+        [
+            ("/simulate", {"machine": "tsubame2", "seed": -1}),
+            ("/jobs", {"machine": "tsubame2", "seed": -1}),
+            (
+                "/generate",
+                {"name": "neg", "machine": "tsubame2", "seed": -5},
+            ),
+        ],
+        ids=["simulate", "jobs", "generate"],
+    )
+    def test_negative_seed_is_400(self, server, path, payload):
+        response = request(server.port, "POST", path, payload)
+        assert response.status == 400
+        error = json.loads(response.body)["error"]
+        assert "seed must be >= 0" in error["message"]
+
     def test_statsz_sections(self, server):
         payload = json.loads(request(server.port, "GET", "/statsz").body)
         assert set(payload) >= {

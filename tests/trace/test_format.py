@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.errors import TraceError
@@ -58,6 +59,24 @@ class TestCanonicalLine:
     def test_non_serializable_rejected(self):
         with pytest.raises(TraceError):
             canonical_line({"policy": object()})
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            float("inf"),
+            float("-inf"),
+            [1.0, float("inf")],
+            np.int64(3),
+            np.float32(1.5),
+            {1, 2},
+        ],
+        ids=["inf", "-inf", "nested_inf", "np_int64", "np_float32", "set"],
+    )
+    def test_non_json_values_rejected(self, value):
+        # Nothing is coerced: a numpy scalar or a set that slipped into
+        # an event would otherwise change the bytes of a trace.
+        with pytest.raises(TraceError, match="not canonical JSON"):
+            canonical_line({"time": 1.0, "value": value})
 
 
 class TestConfigRoundTrip:

@@ -9,11 +9,13 @@ produce.
 
 from __future__ import annotations
 
+import json
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim import RepairPolicy, SimulationConfig
-from repro.trace import parse_trace, Trace
+from repro.trace import canonical_line, parse_trace, Trace
 
 _CATEGORIES = st.sampled_from(["GPU", "CPU", "Memory", "SSD", "FAN"])
 _TIMES = st.floats(
@@ -132,3 +134,41 @@ class TestCodecRoundTrip:
         parsed, _ = parse_trace(trace.dumps())
         assert parsed.events == events
         assert parsed.config == config
+
+
+_json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.text(max_size=8),
+)
+_json_values = st.recursive(
+    _json_scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    ),
+    max_leaves=12,
+)
+
+
+class TestCanonicalLineMatchesDumps:
+    """The shared encoder writes what ``json.dumps`` with the canonical
+    options writes, for trace events and arbitrary JSON dicts alike."""
+
+    @staticmethod
+    def dumps(obj: dict) -> str:
+        return json.dumps(
+            obj, sort_keys=True, separators=(",", ":"), allow_nan=False
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(event=st.one_of(_fail, _repair, _jsub, _jstart, _jdone, _jkill))
+    def test_events(self, event):
+        assert canonical_line(event) == self.dumps(event)
+
+    @settings(max_examples=100, deadline=None)
+    @given(obj=st.dictionaries(st.text(max_size=6), _json_values, max_size=6))
+    def test_arbitrary_dicts(self, obj):
+        assert canonical_line(obj) == self.dumps(obj)
