@@ -118,18 +118,17 @@ class Cluster:
             )
         return self._nodes[node_id]
 
-    def available_nodes(
-        self, limit: int | None = None, busy: np.ndarray | None = None
-    ) -> list[int]:
+    def available_nodes(self, limit: int | None = None) -> list[int]:
         """Ids of nodes currently healthy, in ascending order.
 
         Args:
             limit: Return only the ``limit`` lowest-numbered ids.
-            busy: Bool mask indexed by node id; nodes set in it are
-                left out (a scheduler's already-assigned nodes).
         """
-        free = self._up if busy is None else self._up & ~busy
-        return np.flatnonzero(free)[:limit].tolist()
+        return np.flatnonzero(self._up)[:limit].tolist()
+
+    def is_available(self, node_id: int) -> bool:
+        """True if the node is healthy (an in-range id is assumed)."""
+        return self._available_slot[node_id] >= 0
 
     def num_available(self) -> int:
         """Count of healthy nodes."""

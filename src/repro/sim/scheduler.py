@@ -10,9 +10,8 @@ and MTTR into queue waits and lost node-hours.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass
-
-import numpy as np
 
 from repro.errors import SimulationError
 from repro.sim.checkpoint import CheckpointPolicy
@@ -79,9 +78,10 @@ class Scheduler:
         self._pending: list[Job] = []
         self._running: dict[int, _RunningJob] = {}
         self._node_to_job: dict[int, int] = {}
-        # The keys of _node_to_job as a mask over node ids, which the
-        # cluster's free-node pick takes.
-        self._busy = np.zeros(cluster.num_nodes, dtype=bool)
+        # Ids of the nodes that are healthy and not in _node_to_job, in
+        # ascending order.  The cluster's failure and repair hooks keep
+        # it in step, so a scheduling pass never asks the cluster.
+        self._free: list[int] = cluster.available_nodes()
         self._epochs: dict[int, int] = {}
         self._in_maintenance = False
         self._maintenance_windows = 0
@@ -178,6 +178,7 @@ class Scheduler:
         """React to a node failing: kill and requeue its job."""
         job_id = self._node_to_job.get(node_id)
         if job_id is None:
+            self._sync_free(node_id)
             return
         entry = self._running.pop(job_id)
         self._release(entry.nodes)
@@ -211,7 +212,7 @@ class Scheduler:
 
     def handle_node_repair(self, node_id: int) -> None:
         """React to a node returning to service."""
-        del node_id  # capacity change only; scheduling re-reads state
+        self._sync_free(node_id)
         self._try_schedule()
 
     # -- internals -----------------------------------------------------------
@@ -222,10 +223,26 @@ class Scheduler:
         intervals = int(elapsed // self._policy.interval_hours)
         return intervals * self._policy.committed_per_interval_hours
 
+    def _sync_free(self, node_id: int) -> None:
+        # A node is free iff it is healthy and unassigned.
+        free = self._free
+        index = bisect_left(free, node_id)
+        listed = index < len(free) and free[index] == node_id
+        wanted = (
+            node_id not in self._node_to_job
+            and self._cluster.is_available(node_id)
+        )
+        if listed and not wanted:
+            del free[index]
+        elif wanted and not listed:
+            free.insert(index, node_id)
+
     def _release(self, nodes: tuple[int, ...]) -> None:
+        is_available = self._cluster.is_available
         for node in nodes:
             self._node_to_job.pop(node, None)
-        self._busy[list(nodes)] = False
+            if is_available(node):
+                insort(self._free, node)
 
     def _wall_time_for(self, work_hours: float) -> float:
         if self._policy is None:
@@ -238,13 +255,7 @@ class Scheduler:
     def _try_schedule(self) -> None:
         if self._in_maintenance or not self._pending:
             return
-        # The queue can never take more nodes than it asks for in
-        # total, so the lowest-numbered that many free ids make the
-        # same fit and backfill decisions as the whole free list.
-        free = self._cluster.available_nodes(
-            limit=sum(job.num_nodes for job in self._pending),
-            busy=self._busy,
-        )
+        free = self._free
         scheduled_any = True
         while scheduled_any and self._pending:
             scheduled_any = False
@@ -255,7 +266,7 @@ class Scheduler:
                 if job.num_nodes <= len(free):
                     self._pending.pop(index)
                     nodes = tuple(free[: job.num_nodes])
-                    free = free[job.num_nodes:]
+                    del free[: job.num_nodes]
                     self._start(job, nodes)
                     scheduled_any = True
                     break
@@ -273,7 +284,6 @@ class Scheduler:
         )
         for node in nodes:
             self._node_to_job[node] = job.job_id
-        self._busy[list(nodes)] = True
         if self._engine.has_subscribers("job_start"):
             self._engine.publish(
                 "job_start",

@@ -45,6 +45,7 @@ __all__ = [
     "QuarantinedLine",
     "Trace",
     "canonical_line",
+    "event_line",
     "config_to_dict",
     "config_from_dict",
     "report_to_dict",
@@ -94,6 +95,93 @@ def canonical_line(obj: dict) -> str:
         return _CANONICAL_ENCODER.encode(obj)
     except (TypeError, ValueError) as exc:
         raise TraceError(f"trace line is not canonical JSON: {exc}") from exc
+
+
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _value(value) -> str:
+    """One event value as canonical JSON, for the types events hold.
+
+    Raises:
+        TypeError: For any other type (including ``bool`` and NumPy
+            scalars) or a non-finite float, so the caller falls back
+            to the general encoder.
+    """
+    kind = type(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is float:
+        if value - value == 0.0:  # finite: inf - inf and NaN are NaN
+            return float.__repr__(value)
+    elif kind is str:
+        return _quote(value)
+    elif kind is list:
+        for item in value:
+            if type(item) is not int:
+                break
+        else:
+            return f"[{','.join(map(int.__repr__, value))}]"
+    raise TypeError(f"no fast form for {kind.__name__}")
+
+
+#: Event kind -> formatter.  Each template spells out the kind's keys
+#: in sorted order, as ``canonical_line`` would.
+_EVENT_TEMPLATES = {
+    "fail": lambda e: (
+        f'{{"cat":{_value(e["cat"])},"gpus":{_value(e["gpus"])},'
+        f'"node":{_value(e["node"])},"t":"fail",'
+        f'"time":{_value(e["time"])},"ttr":{_value(e["ttr"])}}}'
+    ),
+    "rstart": lambda e: (
+        f'{{"cat":{_value(e["cat"])},"node":{_value(e["node"])},'
+        f'"t":"rstart","time":{_value(e["time"])}}}'
+    ),
+    "rdone": lambda e: (
+        f'{{"cat":{_value(e["cat"])},"node":{_value(e["node"])},'
+        f'"t":"rdone","time":{_value(e["time"])}}}'
+    ),
+    "jsub": lambda e: (
+        f'{{"hours":{_value(e["hours"])},"job":{_value(e["job"])},'
+        f'"t":"jsub","time":{_value(e["time"])},'
+        f'"width":{_value(e["width"])}}}'
+    ),
+    "jstart": lambda e: (
+        f'{{"job":{_value(e["job"])},"nodes":{_value(e["nodes"])},'
+        f'"t":"jstart","time":{_value(e["time"])}}}'
+    ),
+    "jdone": lambda e: (
+        f'{{"job":{_value(e["job"])},"t":"jdone",'
+        f'"time":{_value(e["time"])}}}'
+    ),
+    "jkill": lambda e: (
+        f'{{"job":{_value(e["job"])},"node":{_value(e["node"])},'
+        f'"t":"jkill","time":{_value(e["time"])}}}'
+    ),
+}
+
+#: Event kind -> (key count including ``"t"``, formatter).
+_EVENT_FORMATS = {
+    kind: (len(_EVENT_KEYS[kind]) + 1, template)
+    for kind, template in _EVENT_TEMPLATES.items()
+}
+
+
+def event_line(event: dict) -> str:
+    """:func:`canonical_line` of one event, formatted per kind.
+
+    An event with exactly its kind's keys, holding only ints, finite
+    floats, strings and lists of ints, goes through a fixed template;
+    anything else goes to :func:`canonical_line`, so the output (and
+    any :class:`TraceError`) is always the same as that function's.
+    """
+    try:
+        size, fmt = _EVENT_FORMATS[event["t"]]
+        if type(event) is dict and len(event) == size:
+            return fmt(event)
+    except (KeyError, TypeError, ValueError):
+        pass
+    return canonical_line(event)
 
 
 def config_to_dict(config: SimulationConfig) -> dict:
@@ -344,7 +432,7 @@ class Trace:
     def lines(self) -> list[str]:
         """Every line of the trace in canonical form, in order."""
         out = [canonical_line(self.header_dict())]
-        out.extend(canonical_line(event) for event in self.events)
+        out.extend(map(event_line, self.events))
         if self.report is not None:
             out.append(canonical_line({"t": "report", **self.report}))
         if self.end is not None:
@@ -353,7 +441,7 @@ class Trace:
 
     def event_lines(self) -> list[str]:
         """Canonical lines of the events only (the bit-exact body)."""
-        return [canonical_line(event) for event in self.events]
+        return list(map(event_line, self.events))
 
     def dumps(self) -> str:
         """The whole trace as JSONL text (trailing newline included)."""

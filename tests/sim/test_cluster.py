@@ -1,6 +1,5 @@
 """Tests for the cluster state machine."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -183,11 +182,9 @@ class TestOrderedHealthMask:
     @given(
         steps=_STEPS,
         limit=st.one_of(st.integers(0, 12), st.just(TSUBAME3.num_nodes)),
-        busy_seed=st.integers(0, 2**32 - 1),
     )
-    def test_available_nodes_matches_scan(self, steps, limit, busy_seed):
+    def test_available_nodes_matches_scan(self, steps, limit):
         cluster = Cluster(TSUBAME3)
-        busy = np.random.default_rng(busy_seed).random(cluster.num_nodes) < 0.5
         for time, (action, node_id) in enumerate(steps):
             state = cluster.node(node_id).state
             if action == "fail":
@@ -207,7 +204,8 @@ class TestOrderedHealthMask:
             expected = scan_available(cluster)
             assert cluster.available_nodes() == expected
             assert cluster.available_nodes(limit=limit) == expected[:limit]
-            assert cluster.available_nodes(busy=busy) == [
-                i for i in expected if not busy[i]
-            ]
+            assert [
+                i for i in range(cluster.num_nodes)
+                if cluster.is_available(i)
+            ] == expected
             assert cluster.num_available() == len(expected)

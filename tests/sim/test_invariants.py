@@ -73,7 +73,27 @@ def test_scheduler_invariants(seed):
                                            cost_hours=0.2),
         intensity=4.0,
     )
+    scheduler = simulator.scheduler
+    cluster = simulator.cluster
+    probes: list[float] = []
+
+    def check_free_list() -> None:
+        # The free list is strictly ascending and holds exactly the
+        # healthy nodes no running job is assigned to.
+        free = scheduler._free
+        assert all(a < b for a, b in zip(free, free[1:]))
+        healthy = {
+            node for node in range(cluster.num_nodes)
+            if cluster.node(node).is_available
+        }
+        assert set(free) == healthy - set(scheduler._node_to_job)
+        probes.append(simulator.engine.now)
+
+    for time in np.arange(2.5, 800.0, 5.0):
+        simulator.engine.schedule_at(float(time), check_free_list)
     report = simulator.run(800.0)
+    assert len(probes) == 160
+    check_free_list()
     stats = report.scheduler
     assert stats is not None
     # Accounting identities.
@@ -83,16 +103,14 @@ def test_scheduler_invariants(seed):
     assert 0.0 <= stats.goodput_fraction <= 1.0
     # No node is double-booked at the end of the run: the running
     # jobs' node sets are pairwise disjoint, and together they are
-    # exactly the scheduler's node map and its busy mask.
-    scheduler = simulator.scheduler
+    # exactly the scheduler's node map.
     node_sets = [entry.nodes for entry in scheduler._running.values()]
     assigned = set().union(*node_sets)
     assert sum(len(nodes) for nodes in node_sets) == len(assigned)
     assert assigned == set(scheduler._node_to_job)
-    assert assigned == set(np.flatnonzero(scheduler._busy).tolist())
     # Running jobs occupy only healthy nodes or nodes that failed
     # this instant (the failure handler runs synchronously, so by the
     # end of the run every running job's nodes are healthy).
     for job_id, entry in scheduler._running.items():
         for node in entry.nodes:
-            assert simulator.cluster.node(node).is_available
+            assert cluster.node(node).is_available

@@ -2,10 +2,11 @@
 
 ``WorkloadGenerator.jobs_until`` draws each job size with numpy's own
 ``choice(p=)`` algorithm written out (one uniform, one CDF search), and
-``Scheduler._try_schedule`` asks the cluster for only as many free
-nodes as the queue could take.  Both must reproduce the older
-formulations in ``tests/sim/oracles.py`` exactly: the same jobs, the
-same generator state afterwards, the same job starts on the same nodes.
+``Scheduler`` picks nodes from a sorted free list that its failure and
+repair hooks keep in step with the cluster.  Both must reproduce the
+older formulations in ``tests/sim/oracles.py`` exactly: the same jobs,
+the same generator state afterwards, the same job starts on the same
+nodes.
 """
 
 from __future__ import annotations
@@ -17,13 +18,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import SimulationError
 from repro.machines.specs import TSUBAME3
 from repro.sim.checkpoint import CheckpointPolicy
 from repro.sim.cluster import Cluster, NodeState
 from repro.sim.engine import SimulationEngine
 from repro.sim.jobs import Job, WorkloadConfig, WorkloadGenerator
 from repro.sim.scheduler import Scheduler
-from tests.sim.oracles import FullFreeListScheduler, jobs_until_choice
+from tests.sim.oracles import (
+    FullFreeListScheduler,
+    jobs_until_choice,
+    mask_free_nodes,
+)
 
 CONFIGS = {
     "default": WorkloadConfig(),
@@ -167,8 +173,10 @@ def run_schedule(
     )
 
     def fail(node: int) -> None:
-        if cluster.fail(node, "GPU", engine.now):
-            scheduler.handle_node_failure(node)
+        # Like the injectors, notify even when the hit is absorbed by
+        # an ongoing outage.
+        cluster.fail(node, "GPU", engine.now)
+        scheduler.handle_node_failure(node)
 
     def repair(node: int) -> None:
         if cluster.node(node).state is NodeState.FAILED:
@@ -242,19 +250,97 @@ class TestSchedulerPickOracle:
             FullFreeListScheduler, *args
         )
 
-    def test_one_node_job_requests_one_free_node(self, monkeypatch):
+    def test_free_node_failures_and_absorbed_hits_match(self):
+        # One running job on nodes 0-1; node 5 fails while free, is hit
+        # again while down (absorbed), and comes back later.  Until
+        # then the queue must never be handed node 5.
+        ops = [
+            (0.0, ("submit", 2, 8.0)),
+            (0.5, ("fail", 5, 0.0)),
+            (0.5, ("fail", 5, 0.0)),
+            (0.0, ("submit", 9, 2.0)),
+            (0.0, ("submit", 4, 1.0)),
+            (0.5, ("fail", 0, 0.0)),
+            (3.0, ("repair", 5, 0.0)),
+            (0.0, ("submit", 10, 1.0)),
+        ]
+        args = (ops, 1, None, False)
+        starts, _ = run_schedule(Scheduler, *args)
+        before_repair = [nodes for time, _, nodes in starts if time < 4.5]
+        assert before_repair and all(5 not in n for n in before_repair)
+        assert any(5 in nodes for _, _, nodes in starts)
+        assert starts == run_schedule(FullFreeListScheduler, *args)[0]
+
+    def test_scheduling_pass_makes_no_cluster_pick(self, monkeypatch):
         engine = SimulationEngine()
         cluster = Cluster(TSUBAME3)
         scheduler = Scheduler(engine, cluster)
-        limits: list[int | None] = []
+        calls: list[int | None] = []
         pick = cluster.available_nodes
 
-        def spy(limit=None, busy=None):
-            limits.append(limit)
-            return pick(limit=limit, busy=busy)
+        def spy(limit=None):
+            calls.append(limit)
+            return pick(limit=limit)
 
         monkeypatch.setattr(cluster, "available_nodes", spy)
-        job = Job(job_id=0, num_nodes=1, duration_hours=1.0, submit_time=0.0)
-        scheduler.submit(job)
-        assert limits == [1]
-        assert job.assigned_nodes == (0,)
+        jobs = [
+            Job(job_id=i, num_nodes=1 + i, duration_hours=1.0,
+                submit_time=0.0)
+            for i in range(3)
+        ]
+        for job in jobs:
+            scheduler.submit(job)
+
+        def fail_and_repair(node: int) -> None:
+            cluster.fail(node, "GPU", engine.now)
+            scheduler.handle_node_failure(node)
+            cluster.start_repair(node, engine.now)
+            cluster.complete_repair(node, engine.now)
+            scheduler.handle_node_repair(node)
+
+        engine.schedule_at(0.5, lambda: fail_and_repair(0))
+        engine.schedule_at(0.5, lambda: fail_and_repair(9))
+        engine.run_until(3.0)
+        assert calls == []
+        # Job 0 restarted on the lowest free node while 0 was down.
+        assert [job.assigned_nodes for job in jobs] == [
+            (6,), (1, 2), (3, 4, 5)
+        ]
+        assert jobs[0].restarts == 1
+        assert scheduler.stats.jobs_completed == 3
+
+
+# -- mask pick ------------------------------------------------------------
+
+_NODE_IDS = st.sampled_from([0, 1, 2, 3, 5, 8, TSUBAME3.num_nodes - 1])
+
+
+class TestMaskFreeNodes:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        steps=st.lists(
+            st.tuples(
+                st.sampled_from(["fail", "start", "complete"]), _NODE_IDS
+            ),
+            max_size=40,
+        ),
+        busy_seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_scan(self, steps, busy_seed):
+        cluster = Cluster(TSUBAME3)
+        busy = np.random.default_rng(busy_seed).random(cluster.num_nodes) < 0.5
+        for time, (action, node_id) in enumerate(steps):
+            try:
+                if action == "fail":
+                    cluster.fail(node_id, "GPU", time=float(time))
+                elif action == "start":
+                    cluster.start_repair(node_id, time=float(time))
+                else:
+                    cluster.complete_repair(node_id, time=float(time))
+            except SimulationError:
+                pass  # a repair step on a node in the wrong state
+            assert mask_free_nodes(cluster, busy) == [
+                i for i in range(cluster.num_nodes)
+                if cluster.node(i).state is NodeState.HEALTHY
+                and not busy[i]
+            ]
