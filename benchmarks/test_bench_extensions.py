@@ -51,7 +51,7 @@ def test_proactive_prestaging_cuts_waiting(benchmark):
                 max_prestages=50,
                 cooldown_hours=0.0,
             )
-            simulator.injector.add_record_listener(maintainer.on_failure)
+            simulator.engine.subscribe("failure", maintainer.on_failure)
         return simulator.run(1500.0)
 
     reactive = benchmark(lambda: run(False))

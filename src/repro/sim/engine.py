@@ -5,12 +5,26 @@ callback) triples on a binary heap; ties in time break by insertion
 order, so a seeded simulation replays identically.  Time is in hours,
 matching the rest of the library.
 
-The engine also carries a tiny publish/subscribe bus so simulation
-components can announce domain events (a failure fired, a repair
-completed) to outside observers — e.g. a live
-:class:`repro.stream.monitor.FailureMonitor` — without the components
-knowing who is listening.  Subscribers run synchronously, in
-subscription order, at the simulation time of the publish.
+The engine also carries the simulation's one publish/subscribe bus:
+components announce domain events (a failure fired, a repair
+completed) to whoever listens — the scheduler and training gang, a
+live :class:`repro.stream.monitor.FailureMonitor`, the trace recorder
+— without knowing who that is.  The topic set is fixed, and each
+topic's callbacks receive these positional arguments:
+
+- ``failure(record, time_hours)`` then ``node_failed(node_id,
+  category)``: the fault (or replay) injector, once per failure;
+- ``repair_start(node_id, category, time_hours)``: the repair service,
+  when hands-on work begins;
+- ``node_repaired(node_id)`` then ``repair(node_id, category,
+  time_hours)``: the repair service, once per completed repair;
+- ``job_submit(job_id, num_nodes, duration_hours, time_hours)``,
+  ``job_start(job_id, nodes, time_hours)``, ``job_complete(job_id,
+  time_hours)`` and ``job_killed(job_id, node_id, time_hours)``: the
+  batch scheduler and the training gang, over a job's lifecycle.
+
+Subscribers run synchronously, in subscription order, at the
+simulation time of the publish.
 """
 
 from __future__ import annotations
@@ -21,7 +35,13 @@ from collections.abc import Callable
 
 from repro.errors import SimulationError
 
-__all__ = ["SimulationEngine"]
+__all__ = ["SimulationEngine", "TOPICS"]
+
+#: The bus's topics; the module docstring lists each one's arguments.
+TOPICS = (
+    "failure", "node_failed", "repair_start", "node_repaired", "repair",
+    "job_submit", "job_start", "job_complete", "job_killed",
+)
 
 
 class SimulationEngine:
@@ -32,62 +52,41 @@ class SimulationEngine:
         self._sequence = 0
         self._now = 0.0
         self._processed = 0
-        self._subscribers: dict[str, list[Callable[..., None]]] = {}
-        self._published = 0
+        self._subscribers: dict[str, list[Callable[..., None]]] = {
+            topic: [] for topic in TOPICS
+        }
 
     # -- event bus ---------------------------------------------------------
-
-    @property
-    def published(self) -> int:
-        """Domain events published on the bus so far."""
-        return self._published
 
     def subscribe(
         self, topic: str, callback: Callable[..., None]
     ) -> None:
-        """Register ``callback(**payload)`` for a topic.
+        """Register ``callback`` to run on each event of ``topic``.
 
-        Known topics: ``"failure"`` (payload ``record``,
-        ``time_hours``) published by the fault injector;
-        ``"repair_start"`` and ``"repair"`` (payload ``node_id``,
-        ``category``, ``time_hours``) published by the repair service
-        when hands-on work begins and completes; and the scheduler's
-        job lifecycle — ``"job_submit"`` (``job_id``, ``num_nodes``,
-        ``duration_hours``, ``time_hours``), ``"job_start"``
-        (``job_id``, ``nodes``, ``time_hours``), ``"job_complete"``
-        (``job_id``, ``time_hours``) and ``"job_killed"``
-        (``job_id``, ``node_id``, ``time_hours``).  The trace
-        recorder (:mod:`repro.trace`) subscribes to all of them.
+        It receives the topic's positional arguments (module docstring).
 
         Raises:
-            SimulationError: On an empty topic.
+            SimulationError: On an unknown topic.
         """
-        if not topic:
-            raise SimulationError("topic must be a non-empty string")
-        self._subscribers.setdefault(topic, []).append(callback)
+        self.subscribers(topic).append(callback)
 
-    def has_subscribers(self, topic: str) -> bool:
-        """True when at least one callback listens on ``topic``.
+    def subscribers(self, topic: str) -> list[Callable[..., None]]:
+        """The live callback list of a topic.
 
-        Publishers with a non-trivial payload should check this first:
-        it lets them skip building the payload dict (and any values
-        that exist only to be published) on the hot path of a headless
-        run where nobody is listening.
+        A publisher fetches it once, at construction, and calls each
+        entry per event; empty means nobody listens.  Callbacks
+        subscribed later land in the same list.
+
+        Raises:
+            SimulationError: On an unknown topic.
         """
-        return topic in self._subscribers
-
-    def publish(self, topic: str, **payload) -> None:
-        """Deliver a domain event to every subscriber of ``topic``.
-
-        Publishing to a topic nobody subscribed to is free (beyond a
-        dict lookup), so components publish unconditionally.
-        """
-        callbacks = self._subscribers.get(topic)
-        if not callbacks:
-            return
-        self._published += 1
-        for callback in callbacks:
-            callback(**payload)
+        try:
+            return self._subscribers[topic]
+        except KeyError:
+            raise SimulationError(
+                f"unknown topic {topic!r}; known topics: "
+                f"{', '.join(TOPICS)}"
+            ) from None
 
     @property
     def now(self) -> float:

@@ -17,6 +17,8 @@ Monte-Carlo replication fast.  Runs are bit-reproducible for a seed.
 
 from __future__ import annotations
 
+from datetime import timedelta
+
 import numpy as np
 
 from repro.core.records import FailureLog, FailureRecord
@@ -222,25 +224,13 @@ class FaultInjector:
         self._injected: list[FailureRecord] = []
         self._next_record_id = 0
         self._contained_multi_gpu = 0
-        self._failure_listeners: list = []
-        self._record_listeners: list = []
+        self._on_failure = engine.subscribers("failure")
+        self._on_node_failed = engine.subscribers("node_failed")
 
     @property
     def contained_multi_gpu(self) -> int:
         """Would-be multi-GPU failures contained by health tests."""
         return self._contained_multi_gpu
-
-    def add_failure_listener(self, callback) -> None:
-        """Register ``callback(node_id, category)`` to run per failure."""
-        self._failure_listeners.append(callback)
-
-    def add_record_listener(self, callback) -> None:
-        """Register ``callback(record, time_hours)`` to run per failure.
-
-        Receives the full :class:`FailureRecord`, for consumers that
-        need involvement details — e.g. streaming predictors.
-        """
-        self._record_listeners.append(callback)
 
     @property
     def injected_count(self) -> int:
@@ -270,8 +260,6 @@ class FaultInjector:
             )
         if not self._injected:
             raise SimulationError("no failures injected yet")
-        from datetime import timedelta
-
         start = self._spec.log_start
         end = start + timedelta(hours=self._engine.now + 1.0)
         return FailureLog(
@@ -309,7 +297,7 @@ class FaultInjector:
         if self._cluster.fail(node_id, category, self._engine.now, gpus):
             self._repair.submit(node_id, category, duration)
         self._record(node_id, category, duration, gpus)
-        for callback in self._failure_listeners:
+        for callback in self._on_node_failed:
             callback(node_id, category)
         self._schedule_next()
 
@@ -347,21 +335,13 @@ class FaultInjector:
         duration: float,
         gpus: tuple[int, ...],
     ) -> None:
-        engine = self._engine
-        need_record = (
-            self._record_injected
-            or self._record_listeners
-            or engine.has_subscribers("failure")
-        )
         self._next_record_id += 1
-        if not need_record:
+        if not (self._record_injected or self._on_failure):
             return
-        from datetime import timedelta
-
+        now = self._engine.now
         record = FailureRecord(
             record_id=self._next_record_id - 1,
-            timestamp=self._spec.log_start
-            + timedelta(hours=engine.now),
+            timestamp=self._spec.log_start + timedelta(hours=now),
             node_id=node_id,
             category=category,
             ttr_hours=duration,
@@ -369,9 +349,5 @@ class FaultInjector:
         )
         if self._record_injected:
             self._injected.append(record)
-        for callback in self._record_listeners:
-            callback(record, engine.now)
-        if engine.has_subscribers("failure"):
-            engine.publish(
-                "failure", record=record, time_hours=engine.now
-            )
+        for callback in self._on_failure:
+            callback(record, now)

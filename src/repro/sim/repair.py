@@ -111,7 +111,8 @@ class RepairService:
     Wire-up: the fault injector calls :meth:`submit` when a node
     fails; the service starts the repair once a technician and (for
     hardware) a spare are available, and completes it after the
-    failure's hands-on duration.
+    failure's hands-on duration.  Both steps are published on the
+    engine bus (``repair_start``; ``node_repaired`` then ``repair``).
     """
 
     def __init__(
@@ -129,11 +130,9 @@ class RepairService:
         self._queue: deque[_PendingRepair] = deque()
         self._waiting_for_spare: list[_PendingRepair] = []
         self._completed = 0
-        self._completion_listeners: list = []
-
-    def add_completion_listener(self, callback) -> None:
-        """Register ``callback(node_id)`` to run after each repair."""
-        self._completion_listeners.append(callback)
+        self._on_repair_start = engine.subscribers("repair_start")
+        self._on_node_repaired = engine.subscribers("node_repaired")
+        self._on_repair = engine.subscribers("repair")
 
     @property
     def completed(self) -> int:
@@ -209,30 +208,23 @@ class RepairService:
         ):
             pending = self._queue.popleft()
             self._busy_technicians += 1
-            self._cluster.start_repair(pending.node_id, self._engine.now)
-            if self._engine.has_subscribers("repair_start"):
-                self._engine.publish(
-                    "repair_start",
-                    node_id=pending.node_id,
-                    category=pending.category,
-                    time_hours=self._engine.now,
-                )
+            now = self._engine.now
+            self._cluster.start_repair(pending.node_id, now)
+            for callback in self._on_repair_start:
+                callback(pending.node_id, pending.category, now)
             self._engine.schedule_in(
                 pending.duration_hours,
                 lambda p=pending: self._complete(p),
             )
 
     def _complete(self, pending: _PendingRepair) -> None:
-        self._cluster.complete_repair(pending.node_id, self._engine.now)
+        node_id = pending.node_id
+        now = self._engine.now
+        self._cluster.complete_repair(node_id, now)
         self._busy_technicians -= 1
         self._completed += 1
         self._dispatch()
-        for callback in self._completion_listeners:
-            callback(pending.node_id)
-        if self._engine.has_subscribers("repair"):
-            self._engine.publish(
-                "repair",
-                node_id=pending.node_id,
-                category=pending.category,
-                time_hours=self._engine.now,
-            )
+        for callback in self._on_node_repaired:
+            callback(node_id)
+        for callback in self._on_repair:
+            callback(node_id, pending.category, now)

@@ -58,7 +58,10 @@ class _RunningJob:
 
 
 class Scheduler:
-    """FCFS + backfill scheduler bound to a simulated cluster."""
+    """FCFS + backfill scheduler bound to a simulated cluster.
+
+    Its hooks subscribe to the bus's ``node_failed`` / ``node_repaired``.
+    """
 
     def __init__(
         self,
@@ -86,6 +89,12 @@ class Scheduler:
         self._in_maintenance = False
         self._maintenance_windows = 0
         self.stats = SchedulerStats()
+        self._on_submit = engine.subscribers("job_submit")
+        self._on_start = engine.subscribers("job_start")
+        self._on_complete = engine.subscribers("job_complete")
+        self._on_killed = engine.subscribers("job_killed")
+        engine.subscribe("node_failed", self.handle_node_failure)
+        engine.subscribe("node_repaired", self.handle_node_repair)
 
     # -- maintenance windows ---------------------------------------------
 
@@ -145,14 +154,9 @@ class Scheduler:
         job.state = JobState.PENDING
         self._pending.append(job)
         self.stats.jobs_submitted += 1
-        if self._engine.has_subscribers("job_submit"):
-            self._engine.publish(
-                "job_submit",
-                job_id=job.job_id,
-                num_nodes=job.num_nodes,
-                duration_hours=job.duration_hours,
-                time_hours=self._engine.now,
-            )
+        for callback in self._on_submit:
+            callback(job.job_id, job.num_nodes, job.duration_hours,
+                     self._engine.now)
         self._try_schedule()
 
     def submit_all(self, jobs: list[Job]) -> None:
@@ -174,8 +178,13 @@ class Scheduler:
 
     # -- failure / repair hooks -----------------------------------------------
 
-    def handle_node_failure(self, node_id: int) -> None:
-        """React to a node failing: kill and requeue its job."""
+    def handle_node_failure(
+        self, node_id: int, category: str | None = None
+    ) -> None:
+        """React to a node failing: kill and requeue its job.
+
+        ``category`` (unused) matches the ``node_failed`` topic.
+        """
         job_id = self._node_to_job.get(node_id)
         if job_id is None:
             self._sync_free(node_id)
@@ -183,13 +192,8 @@ class Scheduler:
         entry = self._running.pop(job_id)
         self._release(entry.nodes)
         job = entry.job
-        if self._engine.has_subscribers("job_killed"):
-            self._engine.publish(
-                "job_killed",
-                job_id=job.job_id,
-                node_id=node_id,
-                time_hours=self._engine.now,
-            )
+        for callback in self._on_killed:
+            callback(job.job_id, node_id, self._engine.now)
         elapsed = self._engine.now - entry.started_at
         committed = self._committed_work(elapsed)
         lost = max(0.0, elapsed - committed)
@@ -211,7 +215,7 @@ class Scheduler:
         self._try_schedule()
 
     def handle_node_repair(self, node_id: int) -> None:
-        """React to a node returning to service."""
+        """React to a node returning to service (``node_repaired``)."""
         self._sync_free(node_id)
         self._try_schedule()
 
@@ -284,13 +288,8 @@ class Scheduler:
         )
         for node in nodes:
             self._node_to_job[node] = job.job_id
-        if self._engine.has_subscribers("job_start"):
-            self._engine.publish(
-                "job_start",
-                job_id=job.job_id,
-                nodes=list(nodes),
-                time_hours=now,
-            )
+        for callback in self._on_start:
+            callback(job.job_id, list(nodes), now)
         wall = self._wall_time_for(job.remaining_hours)
         self._engine.schedule_in(
             wall, lambda j=job, e=epoch: self._complete(j, e)
@@ -315,9 +314,5 @@ class Scheduler:
         self.stats.jobs_completed += 1
         if job.start_time is not None:
             self.stats.total_wait_hours += job.waited_hours
-        if self._engine.has_subscribers("job_complete"):
-            self._engine.publish(
-                "job_complete",
-                job_id=job.job_id,
-                time_hours=self._engine.now,
-            )
+        for callback in self._on_complete:
+            callback(job.job_id, self._engine.now)

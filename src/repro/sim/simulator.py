@@ -210,13 +210,6 @@ class ClusterSimulator:
             self.training = GangTrainingRun(
                 self.engine, self.cluster, train, checkpoint_policy
             )
-            self.injector.add_failure_listener(
-                lambda node_id, category:
-                self.training.handle_node_failure(node_id, category)
-            )
-            self.repair.add_completion_listener(
-                self.training.handle_node_repair
-            )
         if workload is not None:
             self.scheduler = Scheduler(
                 self.engine, self.cluster, checkpoint_policy
@@ -224,13 +217,6 @@ class ClusterSimulator:
             generator = WorkloadGenerator(workload, seed=seed + 1)
             self._workload = generator
             self._workload_config = workload
-            self.injector.add_failure_listener(
-                lambda node_id, _category:
-                self.scheduler.handle_node_failure(node_id)
-            )
-            self.repair.add_completion_listener(
-                self.scheduler.handle_node_repair
-            )
 
     def run(self, horizon_hours: float) -> SimulationReport:
         """Run the simulation and summarise it.

@@ -16,7 +16,7 @@ events mark the moment the same record's recovery completed.
 from __future__ import annotations
 
 import heapq
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -28,6 +28,7 @@ __all__ = [
     "StreamEvent",
     "events_from_log",
     "ensure_monotonic",
+    "subscribe_events",
 ]
 
 
@@ -106,6 +107,23 @@ class StreamEvent:
             category=category,
             record=record,
         )
+
+
+def subscribe_events(engine, sink: Callable[[StreamEvent], None]) -> None:
+    """Feed a simulation engine's ``failure`` and ``repair`` bus
+    topics into ``sink`` as stream events, as the simulation runs."""
+    engine.subscribe(
+        "failure",
+        lambda record, time_hours: sink(
+            StreamEvent.failure(time_hours, record)
+        ),
+    )
+    engine.subscribe(
+        "repair",
+        lambda node_id, category, time_hours: sink(
+            StreamEvent.repair(time_hours, node_id, category)
+        ),
+    )
 
 
 def events_from_log(

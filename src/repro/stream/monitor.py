@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 from repro.errors import StreamError
 from repro.stream.alerts import Alert, AlertRule, AlertSink, default_rules
-from repro.stream.events import StreamEvent
+from repro.stream.events import StreamEvent, subscribe_events
 from repro.stream.online import (
     EwmaRate,
     GKQuantileSketch,
@@ -323,18 +323,7 @@ class FailureMonitor:
         repair completions published by the fault injector and repair
         service then flow into this monitor as the simulation runs.
         """
-        engine.subscribe(
-            "failure",
-            lambda record, time_hours: self.observe(
-                StreamEvent.failure(time_hours, record)
-            ),
-        )
-        engine.subscribe(
-            "repair",
-            lambda node_id, category, time_hours: self.observe(
-                StreamEvent.repair(time_hours, node_id, category)
-            ),
-        )
+        subscribe_events(engine, self.observe)
 
     # -- reading -----------------------------------------------------------
 

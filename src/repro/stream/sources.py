@@ -33,7 +33,7 @@ from pathlib import Path
 
 from repro.core.records import FailureLog, FailureRecord
 from repro.errors import StreamError
-from repro.stream.events import StreamEvent, events_from_log
+from repro.stream.events import StreamEvent, events_from_log, subscribe_events
 
 __all__ = [
     "ReplaySource",
@@ -182,19 +182,7 @@ class SimulationSource:
 
     def _run(self) -> list[StreamEvent]:
         recorded: list[StreamEvent] = []
-        engine = self._simulator.engine
-        engine.subscribe(
-            "failure",
-            lambda record, time_hours: recorded.append(
-                StreamEvent.failure(time_hours, record)
-            ),
-        )
-        engine.subscribe(
-            "repair",
-            lambda node_id, category, time_hours: recorded.append(
-                StreamEvent.repair(time_hours, node_id, category)
-            ),
-        )
+        subscribe_events(self._simulator.engine, recorded.append)
         self._report = self._simulator.run(self._horizon)
         return recorded
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from datetime import timedelta
 
 from repro.core.records import FailureLog, FailureRecord
-from repro.errors import ReplayDivergenceError, TraceError
+from repro.errors import ReplayDivergenceError, SimulationError, TraceError
 from repro.machines.specs import get_machine
 from repro.sim.cluster import Cluster
 from repro.sim.engine import SimulationEngine
@@ -50,11 +50,11 @@ class ReplayInjector:
     """Feeds a recorded failure history into a live simulation.
 
     Drop-in for :class:`repro.sim.faults.FaultInjector` as far as the
-    rest of the simulation is concerned: same listener hooks, same
+    rest of the simulation is concerned: the same bus topics, the same
     ``start()``/``injected_count``/``injected_log()`` surface, and —
     critically — the same internal order of operations per failure
-    (fail the node, submit the repair if the node was healthy, record
-    and publish, notify listeners, schedule the next failure last).
+    (fail the node, submit the repair if the node was healthy, publish
+    ``failure`` then ``node_failed``, schedule the next failure last).
     ``was_healthy`` is re-evaluated against the *replayed* cluster
     state rather than recorded, which is what lets a counterfactual
     replay absorb a failure on a node a slower repair policy has not
@@ -77,16 +77,8 @@ class ReplayInjector:
         self._index = 0
         self._injected: list[FailureRecord] = []
         self._next_record_id = 0
-        self._failure_listeners: list = []
-        self._record_listeners: list = []
-
-    def add_failure_listener(self, callback) -> None:
-        """Register ``callback(node_id, category)`` to run per failure."""
-        self._failure_listeners.append(callback)
-
-    def add_record_listener(self, callback) -> None:
-        """Register ``callback(record, time_hours)`` to run per failure."""
-        self._record_listeners.append(callback)
+        self._on_failure = engine.subscribers("failure")
+        self._on_node_failed = engine.subscribers("node_failed")
 
     @property
     def injected_count(self) -> int:
@@ -101,12 +93,8 @@ class ReplayInjector:
         """The replayed failures as a validated log.
 
         Raises:
-            SimulationError: If nothing has been replayed yet (via
-                :class:`FailureLog` construction on an empty run).
-            TraceError: Never — kept for interface symmetry.
+            SimulationError: If nothing has been replayed yet.
         """
-        from repro.errors import SimulationError
-
         if not self._injected:
             raise SimulationError("no failures replayed yet")
         start = self._spec.log_start
@@ -142,7 +130,7 @@ class ReplayInjector:
         if self._cluster.fail(node_id, category, self._engine.now, gpus):
             self._repair.submit(node_id, category, duration)
         self._record(node_id, category, duration, gpus)
-        for callback in self._failure_listeners:
+        for callback in self._on_node_failed:
             callback(node_id, category)
         self._schedule_next()
 
@@ -153,11 +141,10 @@ class ReplayInjector:
         duration: float,
         gpus: tuple[int, ...],
     ) -> None:
-        engine = self._engine
+        now = self._engine.now
         record = FailureRecord(
             record_id=self._next_record_id,
-            timestamp=self._spec.log_start
-            + timedelta(hours=engine.now),
+            timestamp=self._spec.log_start + timedelta(hours=now),
             node_id=node_id,
             category=category,
             ttr_hours=duration,
@@ -165,12 +152,8 @@ class ReplayInjector:
         )
         self._next_record_id += 1
         self._injected.append(record)
-        for callback in self._record_listeners:
-            callback(record, engine.now)
-        if engine.has_subscribers("failure"):
-            engine.publish(
-                "failure", record=record, time_hours=engine.now
-            )
+        for callback in self._on_failure:
+            callback(record, now)
 
 
 class ReplaySimulator:
@@ -244,13 +227,6 @@ class ReplaySimulator:
             self.training = GangTrainingRun(
                 self.engine, self.cluster, base.train, checkpoint_policy
             )
-            self.injector.add_failure_listener(
-                lambda node_id, category:
-                self.training.handle_node_failure(node_id, category)
-            )
-            self.repair.add_completion_listener(
-                self.training.handle_node_repair
-            )
         self.scheduler: Scheduler | None = None
         job_events = trace.jobs
         # A training trace carries the gang's own job events; they are
@@ -277,13 +253,6 @@ class ReplaySimulator:
                 )
                 for event in job_events
             ]
-            self.injector.add_failure_listener(
-                lambda node_id, _category:
-                self.scheduler.handle_node_failure(node_id)
-            )
-            self.repair.add_completion_listener(
-                self.scheduler.handle_node_repair
-            )
         else:
             self._jobs = []
 

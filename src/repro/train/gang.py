@@ -13,7 +13,9 @@ one checkpoint interval of work plus the in-flight step.
 The run publishes the same engine-bus job topics as the batch
 scheduler (``job_submit`` / ``job_start`` / ``job_killed`` /
 ``job_complete``), so trace recording, bit-exact replay, and the
-golden corpus work on training runs with no recorder changes.
+golden corpus work on training runs with no recorder changes.  Its
+failure and repair hooks subscribe to the bus's ``node_failed`` and
+``node_repaired`` topics.
 """
 
 from __future__ import annotations
@@ -152,20 +154,22 @@ class GangTrainingRun:
         self._restart_overhead = 0.0
         self._checkpoint_overhead = 0.0
         self._blast_radius_node_hours = 0.0
+        self._on_submit = engine.subscribers("job_submit")
+        self._on_start = engine.subscribers("job_start")
+        self._on_complete = engine.subscribers("job_complete")
+        self._on_killed = engine.subscribers("job_killed")
+        engine.subscribe("node_failed", self.handle_node_failure)
+        engine.subscribe("node_repaired", self.handle_node_repair)
 
     # -- lifecycle ---------------------------------------------------------
 
     def start(self) -> None:
         """Submit the gang job and try to claim its nodes."""
         duration = self._config.total_work_hours
-        if self._engine.has_subscribers("job_submit"):
-            self._engine.publish(
-                "job_submit",
-                job_id=GANG_JOB_ID,
-                num_nodes=self._config.num_nodes,
-                duration_hours=duration if duration is not None else 0.0,
-                time_hours=self._engine.now,
-            )
+        for callback in self._on_submit:
+            callback(GANG_JOB_ID, self._config.num_nodes,
+                     duration if duration is not None else 0.0,
+                     self._engine.now)
         self._pending_since = self._engine.now
         self._eligible_at = self._engine.now
         self._try_start()
@@ -203,13 +207,8 @@ class GangTrainingRun:
             # The failure landed after the final useful checkpoint;
             # everything is already committed — finish, don't restart.
             lost = 0.0
-            if self._engine.has_subscribers("job_killed"):
-                self._engine.publish(
-                    "job_killed",
-                    job_id=GANG_JOB_ID,
-                    node_id=node_id,
-                    time_hours=now,
-                )
+            for callback in self._on_killed:
+                callback(GANG_JOB_ID, node_id, now)
             self._finish(now)
             return
         self._lost_work += lost
@@ -217,13 +216,8 @@ class GangTrainingRun:
             self._lost_by_category[category] = (
                 self._lost_by_category.get(category, 0.0) + lost
             )
-        if self._engine.has_subscribers("job_killed"):
-            self._engine.publish(
-                "job_killed",
-                job_id=GANG_JOB_ID,
-                node_id=node_id,
-                time_hours=now,
-            )
+        for callback in self._on_killed:
+            callback(GANG_JOB_ID, node_id, now)
         self._pending_since = now
         self._eligible_at = now + self._config.detection_delay_hours
         delay = self._config.detection_delay_hours
@@ -288,13 +282,8 @@ class GangTrainingRun:
         )
         self._started_ever = True
         self._segment_start = now + restart_cost
-        if self._engine.has_subscribers("job_start"):
-            self._engine.publish(
-                "job_start",
-                job_id=GANG_JOB_ID,
-                nodes=list(nodes),
-                time_hours=now,
-            )
+        for callback in self._on_start:
+            callback(GANG_JOB_ID, list(nodes), now)
         remaining = self._capped_remaining()
         if math.isfinite(remaining):
             epoch = self._epoch
@@ -337,12 +326,8 @@ class GangTrainingRun:
         self._members = frozenset()
         self._done = True
         self._completed_at = now
-        if self._engine.has_subscribers("job_complete"):
-            self._engine.publish(
-                "job_complete",
-                job_id=GANG_JOB_ID,
-                time_hours=now,
-            )
+        for callback in self._on_complete:
+            callback(GANG_JOB_ID, now)
 
     # -- reporting ---------------------------------------------------------
 

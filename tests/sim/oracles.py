@@ -196,11 +196,8 @@ class FullFreeListScheduler:
         for node in nodes:
             self._node_to_job[node] = job.job_id
         self._busy[list(nodes)] = True
-        if self._engine.has_subscribers("job_start"):
-            self._engine.publish(
-                "job_start", job_id=job.job_id, nodes=list(nodes),
-                time_hours=now,
-            )
+        for callback in self._engine.subscribers("job_start"):
+            callback(job.job_id, list(nodes), now)
         self._engine.schedule_in(
             self._wall_time_for(job.remaining_hours),
             lambda j=job, e=epoch: self._complete(j, e),

@@ -3,7 +3,12 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.engine import SimulationEngine
+from repro.machines.specs import TSUBAME3
+from repro.sim import faults
+from repro.sim.cluster import Cluster
+from repro.sim.engine import TOPICS, SimulationEngine
+from repro.sim.repair import RepairPolicy, RepairService, SparePool
+from repro.sim.simulator import ClusterSimulator
 
 
 class TestScheduling:
@@ -176,20 +181,47 @@ class TestRunning:
         assert len(fired) == 5
 
 
-class TestHasSubscribers:
-    def test_false_until_subscribed(self):
+class TestBus:
+    def test_delivers_positionally_in_subscription_order(self):
         engine = SimulationEngine()
-        assert not engine.has_subscribers("failure")
-        engine.subscribe("failure", lambda **kw: None)
-        assert engine.has_subscribers("failure")
-        assert not engine.has_subscribers("repair")
-
-    def test_publish_counts_only_delivered_events(self):
-        engine = SimulationEngine()
-        engine.publish("failure", record=None)
-        assert engine.published == 0
         seen = []
-        engine.subscribe("failure", lambda record: seen.append(record))
-        engine.publish("failure", record="r")
-        assert engine.published == 1
-        assert seen == ["r"]
+        engine.subscribe("repair", lambda *args: seen.append(("a", args)))
+        engine.subscribe("repair", lambda *args: seen.append(("b", args)))
+        for callback in engine.subscribers("repair"):
+            callback(3, "GPU", 1.5)
+        assert seen == [("a", (3, "GPU", 1.5)), ("b", (3, "GPU", 1.5))]
+
+    def test_late_subscriber_sees_events_of_an_earlier_publisher(self):
+        engine = SimulationEngine()
+        cluster = Cluster(TSUBAME3)
+        service = RepairService(
+            engine, cluster, RepairPolicy(), SparePool({})
+        )
+        repaired = []
+        engine.subscribe("node_repaired", repaired.append)
+        cluster.fail(2, "Software", time=0.0)
+        service.submit(2, "Software", duration_hours=1.0)
+        engine.run_until(5.0)
+        assert repaired == [2]
+
+    def test_topic_without_subscribers_costs_no_callback(self, monkeypatch):
+        # A headless run keeps no records, so with nobody on "failure"
+        # the injector never builds the record it would publish.
+        def no_record(**fields):
+            raise AssertionError("built a record nobody listens to")
+
+        monkeypatch.setattr(faults, "FailureRecord", no_record)
+        simulator = ClusterSimulator(
+            "tsubame3", seed=1, keep_injected_log=False
+        )
+        assert all(not simulator.engine.subscribers(t) for t in TOPICS)
+        report = simulator.run(500.0)
+        assert report.failures_injected > 0
+        assert report.repairs_completed > 0
+
+    def test_unknown_topic_rejected(self):
+        engine = SimulationEngine()
+        with pytest.raises(SimulationError, match="failures"):
+            engine.subscribe("failures", lambda record, time_hours: None)
+        with pytest.raises(SimulationError):
+            engine.subscribers("")

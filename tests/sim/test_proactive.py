@@ -120,8 +120,8 @@ class TestProactiveEndToEnd:
                     max_prestages=50,
                     cooldown_hours=0.0,
                 )
-                simulator.injector.add_record_listener(
-                    maintainer.on_failure
+                simulator.engine.subscribe(
+                    "failure", maintainer.on_failure
                 )
             report = simulator.run(1500.0)
             return report

@@ -129,7 +129,7 @@ class TestRepairFlow:
     def test_completion_listener_fires(self):
         engine, cluster, service, _ = _service()
         repaired = []
-        service.add_completion_listener(repaired.append)
+        engine.subscribe("node_repaired", repaired.append)
         cluster.fail(2, "Software", time=0.0)
         service.submit(2, "Software", duration_hours=1.0)
         engine.run_until(5.0)

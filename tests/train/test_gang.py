@@ -214,10 +214,7 @@ class TestLifecycle:
             "job_submit", "job_start", "job_killed", "job_complete"
         ):
             engine.subscribe(
-                topic,
-                lambda topic=topic, **payload: seen.append(
-                    (topic, payload)
-                ),
+                topic, lambda *args, topic=topic: seen.append((topic, args))
             )
         gang.start()
         engine.schedule_at(
@@ -229,11 +226,11 @@ class TestLifecycle:
             "job_submit", "job_start", "job_killed", "job_start",
             "job_complete",
         ]
-        submit = dict(seen[0][1])
-        assert submit["job_id"] == GANG_JOB_ID
-        assert submit["num_nodes"] == 4
-        start = dict(seen[1][1])
-        assert len(start["nodes"]) == 4
+        job_id, num_nodes, _duration, _time = seen[0][1]
+        assert job_id == GANG_JOB_ID
+        assert num_nodes == 4
+        _job_id, nodes, _time = seen[1][1]
+        assert len(nodes) == 4
 
     def test_repair_hook_retries_queue(self):
         engine, cluster, gang = make_gang(
