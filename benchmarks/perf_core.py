@@ -12,6 +12,9 @@ model caps a single generated trace at the node count), this times:
 * the full analysis pass (every vectorized kernel) vs. the
   ``_reference_*`` implementations,
 * each TBF / spatial / seasonal / multi-GPU kernel individually,
+* ``read_csv`` of the tiled log — the columnar reader vs. the
+  row-by-row oracle in ``tests/io/oracles.py``, after asserting both
+  give equal logs — plus the first-touch cost of the lazy records,
 
 and a 50-seed :func:`repro.parallel.sweep` (serial vs. 4 workers),
 then writes ``BENCH_core.json`` at the repo root so future PRs have a
@@ -28,6 +31,8 @@ import dataclasses
 import json
 import os
 import platform
+import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -37,10 +42,13 @@ from repro.core import metrics, multigpu, seasonal, spatial, temporal
 from repro.core import taxonomy
 from repro.core.records import FailureLog
 from repro.core.taxonomy import FailureClass
+from repro.io import read_csv, write_csv
 from repro.parallel import available_cpus, sweep
 from repro.synth import GeneratorConfig, generate_log
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO_ROOT))
+from tests.io.oracles import read_csv_rows  # noqa: E402
 REPORT_PATH = REPO_ROOT / "BENCH_core.json"
 
 BENCH_SEED = 42
@@ -264,6 +272,33 @@ KERNELS = {
 }
 
 
+def _bench_read(log: FailureLog) -> dict:
+    """Columnar ``read_csv`` vs. the row-path oracle on one CSV."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "log.csv"
+        write_csv(log, path)
+        columnar, oracle = read_csv(path), read_csv_rows(path)
+        if columnar != oracle or columnar != log:
+            raise AssertionError(
+                "columnar read_csv disagrees with the row-path oracle"
+            )
+        columnar_s, _ = _best_of(lambda: read_csv(path))
+        row_s, _ = _best_of(lambda: read_csv_rows(path))
+        lazy = [read_csv(path) for _ in range(3)]
+    # The records a lazy log defers, built on first touch.
+    first_touch_s = min(
+        _best_of(lambda: fresh.records, repeats=1)[0] for fresh in lazy
+    )
+    return {
+        "rows": len(log),
+        "columnar_s": columnar_s,
+        "row_path_s": row_s,
+        "speedup": row_s / columnar_s if columnar_s else float("inf"),
+        "first_touch_records_s": first_touch_s,
+        "logs_equal": True,
+    }
+
+
 def _bench_scale(factor: int) -> dict:
     start = time.perf_counter()
     log = tiled_log(factor)
@@ -321,6 +356,7 @@ def _bench_scale(factor: int) -> dict:
             "parity_ok": fast_out == ref_out,
         },
         "kernels": kernels,
+        "read": _bench_read(log),
     }
 
 
@@ -387,7 +423,10 @@ def main() -> None:
             f"reference {chain['reference_s'] * 1e3:.1f} ms "
             f"({chain['speedup_warm']:.1f}x warm, "
             f"{chain['speedup_cold']:.1f}x cold), "
-            f"filter chain {scale['filter_chain']['speedup']:.1f}x"
+            f"filter chain {scale['filter_chain']['speedup']:.1f}x, "
+            f"read_csv {scale['read']['columnar_s'] * 1e3:.1f} ms vs "
+            f"row path {scale['read']['row_path_s'] * 1e3:.1f} ms "
+            f"({scale['read']['speedup']:.1f}x)"
         )
     sweep_result = results["sweep"]
     print(

@@ -44,6 +44,12 @@ def test_fast_path_matches_reference_everywhere(results):
         assert scale["filter_chain"]["survivors_match"], label
 
 
+def test_read_tier_matches_row_oracle(results):
+    for label, scale in results["scales"].items():
+        assert scale["read"]["logs_equal"], label
+        assert scale["read"]["rows"] == scale["records"], label
+
+
 def test_filter_chain_beats_revalidation_at_scale(results):
     assert results["scales"]["100x"]["filter_chain"]["speedup"] > 1.0
 

@@ -8,8 +8,9 @@ hardware/software split, and — for Tsubame-3 — the breakdown of the
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro.core import taxonomy
 from repro.core.records import FailureLog
@@ -86,7 +87,11 @@ def category_breakdown(log: FailureLog) -> CategoryBreakdown:
     """
     if len(log) == 0:
         raise AnalysisError("category breakdown of an empty log is undefined")
-    counts = Counter(record.category for record in log)
+    cols = log.columns
+    counts = _named_counts(
+        cols.category_names,
+        np.bincount(cols.category_codes, minlength=len(cols.category_names)),
+    )
     total = len(log)
     shares = tuple(
         CategoryShare(
@@ -138,9 +143,11 @@ def software_root_loci(
         raise AnalysisError(
             f"log has no {software_category!r} failures to break down"
         )
-    counts = Counter(
-        record.root_locus if record.root_locus else "unknown"
-        for record in software
+    cols = software.columns
+    # Shift codes by one so "no locus" (-1) counts in bin 0.
+    counts = _named_counts(
+        ("unknown", *cols.locus_names),
+        np.bincount(cols.locus_codes + 1, minlength=len(cols.locus_names) + 1),
     )
     total = len(software)
     shares = tuple(
@@ -155,3 +162,12 @@ def software_root_loci(
         )
     )
     return RootLocusBreakdown(total_software=total, shares=shares)
+
+
+def _named_counts(names, counts: np.ndarray) -> dict[str, int]:
+    """Non-zero bin counts keyed by name; bins sharing a name add up."""
+    named: dict[str, int] = {}
+    for name, count in zip(names, counts.tolist()):
+        if count:
+            named[name] = named.get(name, 0) + count
+    return named

@@ -27,6 +27,17 @@ log's (already sorted) record order:
   the machine taxonomy (bool).
 * ``months`` / ``weekdays`` / ``hours_of_day`` — calendar fields of
   the timestamp (int8).
+* ``record_ids`` — record ids (int64).
+* ``ts_us`` — timestamps as integer microseconds since 1970-01-01
+  (int64; naive wall clock, or the UTC instant for tz-aware stamps).
+* ``locus_codes`` — code per record into ``locus_names`` (int32), -1
+  when the record has no root locus.
+
+The identity columns (``record_ids``, ``ts_us``, ``locus_codes``)
+carry what the analysis kernels do not read but
+:func:`repro.core.records.records_from_view` needs to rebuild the
+records exactly, so a log read column-wise can build its records only
+on first touch.
 
 GPU slot involvement is ragged, so it is stored CSR-style:
 ``slot_values`` concatenates every record's slots and
@@ -35,17 +46,20 @@ GPU slot involvement is ragged, so it is stored CSR-style:
 Invariant
 ---------
 
-A view is always built from an already-validated log, and
-:meth:`ColumnarView.mask` only ever narrows it, so consumers may treat
-the arrays as trusted — no re-validation on slice.  This is the same
-invariant :meth:`FailureLog._from_trusted` relies on; see
+A view is always built from an already-validated log or from arrays
+its builder validated against the same rules (the CSV reader, the
+store), and :meth:`ColumnarView.mask` only ever narrows it, so
+consumers may treat the arrays as trusted — no re-validation on
+slice.  This is the same invariant :meth:`FailureLog._from_trusted`
+and :meth:`FailureLog._from_columns` rely on; see
 ``docs/PERFORMANCE.md``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from datetime import datetime, timedelta, timezone
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -56,7 +70,15 @@ from repro.errors import TaxonomyError
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.records import FailureLog
 
-__all__ = ["ColumnarView", "build_columns", "CLASS_CODES", "CLASS_BY_CODE"]
+__all__ = [
+    "ColumnarView",
+    "build_columns",
+    "columns_from_arrays",
+    "datetimes_to_us",
+    "us_to_datetime",
+    "CLASS_CODES",
+    "CLASS_BY_CODE",
+]
 
 #: FailureClass -> int8 code used in ``ColumnarView.class_codes``.
 CLASS_CODES: dict[FailureClass, int] = {
@@ -71,6 +93,31 @@ CLASS_BY_CODE: tuple[FailureClass, ...] = (
     FailureClass.SOFTWARE,
     FailureClass.UNKNOWN,
 )
+
+_EPOCH = datetime(1970, 1, 1)
+_EPOCH_UTC = _EPOCH.replace(tzinfo=timezone.utc)
+_US = timedelta(microseconds=1)
+_US_PER_DAY = 86_400_000_000
+_US_PER_HOUR = 3_600_000_000
+
+
+def datetimes_to_us(stamps: Sequence[datetime]) -> np.ndarray:
+    """Convert naive datetimes to integer microseconds since the epoch.
+
+    Integer ``timedelta`` division keeps the full microsecond
+    precision of :class:`datetime`, so the round trip through
+    :func:`us_to_datetime` is exact.
+    """
+    return np.fromiter(
+        ((stamp - _EPOCH) // _US for stamp in stamps),
+        dtype=np.int64,
+        count=len(stamps),
+    )
+
+
+def us_to_datetime(us: int) -> datetime:
+    """Inverse of :func:`datetimes_to_us` for one value."""
+    return _EPOCH + timedelta(microseconds=int(us))
 
 
 @dataclass(frozen=True)
@@ -97,17 +144,22 @@ class ColumnarView:
     hours_of_day: np.ndarray
     slot_values: np.ndarray
     slot_offsets: np.ndarray
+    record_ids: np.ndarray
+    ts_us: np.ndarray
+    locus_names: tuple[str, ...]
+    locus_codes: np.ndarray
 
     def __post_init__(self) -> None:
         # Views are shared between logs: freeze the arrays so no kernel
         # can mutate a sibling's data through them.
-        for array in (
-            self.ts_hours, self.node_ids, self.ttr_hours,
-            self.category_codes, self.class_codes, self.gpu_counts,
-            self.gpu_category, self.months, self.weekdays,
-            self.hours_of_day, self.slot_values, self.slot_offsets,
-        ):
-            array.setflags(write=False)
+        for array in self.__dict__.values():
+            if isinstance(array, np.ndarray):
+                array.setflags(write=False)
+
+    def __setstate__(self, state: dict) -> None:
+        # Unpickled arrays come back writable: freeze them again.
+        self.__dict__.update(state)
+        self.__post_init__()
 
     def __len__(self) -> int:
         return int(self.ts_hours.shape[0])
@@ -180,6 +232,10 @@ class ColumnarView:
             hours_of_day=self.hours_of_day[keep],
             slot_values=self.slot_values[take],
             slot_offsets=offsets,
+            record_ids=self.record_ids[keep],
+            ts_us=self.ts_us[keep],
+            locus_names=self.locus_names,
+            locus_codes=self.locus_codes[keep],
         )
 
     def slots_of(self, index: int) -> np.ndarray:
@@ -243,6 +299,69 @@ def _category_table(
     return unique, class_by_code, gpu_by_code, complete
 
 
+def columns_from_arrays(
+    machine: str,
+    window_start_us: int,
+    *,
+    record_ids: np.ndarray,
+    ts_us: np.ndarray,
+    node_ids: np.ndarray,
+    ttr_hours: np.ndarray,
+    category_names: Sequence[str],
+    category_codes: np.ndarray,
+    locus_names: tuple[str, ...],
+    locus_codes: np.ndarray,
+    slot_values: np.ndarray,
+    slot_offsets: np.ndarray,
+    calendar: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+) -> ColumnarView:
+    """Assemble a view from validated, sorted per-record arrays.
+
+    ``category_names`` must be sorted and unique.  The derived columns
+    (hour offsets, class/GPU codes, GPU counts and, unless given as
+    ``calendar=(months, weekdays, hours)``, the calendar fields) are
+    computed from the identity columns.  Hour offsets use
+    ``(Δus / 1e6) / 3600.0``, the float expression
+    ``timedelta.total_seconds() / 3600.0`` evaluates, so every builder
+    produces bit-identical ``ts_hours``.
+    """
+    table, class_by_code, gpu_by_code, complete = _category_table(
+        machine, category_names
+    )
+    if calendar is None:
+        days = ts_us // _US_PER_DAY
+        calendar = (
+            (
+                ts_us.view("datetime64[us]").astype("datetime64[M]")
+                .astype(np.int64) % 12 + 1
+            ).astype(np.int8),
+            ((days + 3) % 7).astype(np.int8),  # 1970-01-01 is a Thursday
+            (ts_us // _US_PER_HOUR % 24).astype(np.int8),
+        )
+    months, weekdays, hours = calendar
+    return ColumnarView(
+        machine=machine,
+        category_names=table,
+        taxonomy_complete=complete,
+        ts_hours=(ts_us - window_start_us) / 1e6 / 3600.0,
+        node_ids=node_ids,
+        ttr_hours=ttr_hours,
+        category_codes=category_codes,
+        class_codes=class_by_code[category_codes],
+        gpu_counts=np.diff(slot_offsets).astype(np.int16),
+        gpu_category=gpu_by_code[category_codes],
+        months=months,
+        weekdays=weekdays,
+        hours_of_day=hours,
+        slot_values=slot_values,
+        slot_offsets=slot_offsets,
+        record_ids=record_ids,
+        ts_us=ts_us,
+        locus_names=locus_names,
+        locus_codes=locus_codes,
+    )
+
+
 def build_columns(log: "FailureLog") -> ColumnarView:
     """Build the columnar view of an already-validated log.
 
@@ -252,48 +371,49 @@ def build_columns(log: "FailureLog") -> ColumnarView:
     """
     records = log.records
     n = len(records)
-    names = [r.category for r in records]
-    unique, class_by_code, gpu_by_code, complete = _category_table(
-        log.machine, names
-    )
+    unique = tuple(sorted({r.category for r in records}))
     code_of = {name: code for code, name in enumerate(unique)}
+    locus_names = tuple(
+        sorted({r.root_locus for r in records if r.root_locus})
+    )
+    locus_of = {name: code for code, name in enumerate(locus_names)}
+    epoch = _EPOCH if log.window_start.tzinfo is None else _EPOCH_UTC
 
-    ts = np.empty(n, dtype=np.float64)
+    ids = np.empty(n, dtype=np.int64)
+    ts_us = np.empty(n, dtype=np.int64)
     nodes = np.empty(n, dtype=np.int64)
     ttrs = np.empty(n, dtype=np.float64)
     codes = np.empty(n, dtype=np.int32)
-    gpu_counts = np.empty(n, dtype=np.int16)
+    loci = np.empty(n, dtype=np.int32)
     months = np.empty(n, dtype=np.int8)
     weekdays = np.empty(n, dtype=np.int8)
     hours = np.empty(n, dtype=np.int8)
     offsets = np.zeros(n + 1, dtype=np.int64)
     flat_slots: list[int] = []
-    start = log.window_start
     for i, r in enumerate(records):
-        ts[i] = (r.timestamp - start).total_seconds() / 3600.0
+        ids[i] = r.record_id
+        ts_us[i] = (r.timestamp - epoch) // _US
         nodes[i] = r.node_id
         ttrs[i] = r.ttr_hours
         codes[i] = code_of[r.category]
-        gpu_counts[i] = len(r.gpus_involved)
+        loci[i] = locus_of[r.root_locus] if r.root_locus else -1
         months[i] = r.timestamp.month
         weekdays[i] = r.timestamp.weekday()
         hours[i] = r.timestamp.hour
         offsets[i + 1] = offsets[i] + len(r.gpus_involved)
         flat_slots.extend(r.gpus_involved)
-    return ColumnarView(
-        machine=log.machine,
-        category_names=unique,
-        taxonomy_complete=complete,
-        ts_hours=ts,
+    return columns_from_arrays(
+        log.machine,
+        (log.window_start - epoch) // _US,
+        record_ids=ids,
+        ts_us=ts_us,
         node_ids=nodes,
         ttr_hours=ttrs,
+        category_names=unique,
         category_codes=codes,
-        class_codes=class_by_code[codes],
-        gpu_counts=gpu_counts,
-        gpu_category=gpu_by_code[codes],
-        months=months,
-        weekdays=weekdays,
-        hours_of_day=hours,
+        locus_names=locus_names,
+        locus_codes=loci,
         slot_values=np.asarray(flat_slots, dtype=np.int32),
         slot_offsets=offsets,
+        calendar=(months, weekdays, hours),
     )

@@ -14,7 +14,7 @@ enough locality to answer RQ2/RQ3 (node id and GPU slots).
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timedelta
 from typing import TYPE_CHECKING, Any
@@ -28,7 +28,12 @@ from repro.errors import ValidationError
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.columns import ColumnarView
 
-__all__ = ["FailureRecord", "FailureLog", "HOURS_PER_DAY"]
+__all__ = [
+    "FailureRecord",
+    "FailureLog",
+    "HOURS_PER_DAY",
+    "records_from_view",
+]
 
 HOURS_PER_DAY = 24.0
 
@@ -168,14 +173,17 @@ class FailureLog:
     # taxonomy) and is stored sorted.  Any order-preserving subset of
     # such records therefore needs neither re-validation nor re-sorting;
     # _from_trusted builds the sub-log directly, bypassing __init__.
-    # This is the invariant documented in docs/PERFORMANCE.md — never
-    # route records from outside an existing validated log through it.
+    # _from_columns goes one step further for builders that validated
+    # column-wise (the CSV reader, the store): the log holds only its
+    # ColumnarView, and ``records`` is built from it on first access.
+    # These are the invariants documented in docs/PERFORMANCE.md —
+    # never route data from outside a validated source through them.
 
     @classmethod
     def _from_trusted(
         cls,
         machine: str,
-        records: tuple[FailureRecord, ...],
+        records: tuple[FailureRecord, ...] | None,
         window_start: datetime,
         window_end: datetime,
         strict_taxonomy: bool,
@@ -184,7 +192,8 @@ class FailureLog:
         log = object.__new__(cls)
         state = log.__dict__
         state["machine"] = machine
-        state["records"] = records
+        if records is not None:
+            state["records"] = records
         state["window_start"] = window_start
         state["window_end"] = window_end
         state["_strict_taxonomy"] = strict_taxonomy
@@ -192,22 +201,47 @@ class FailureLog:
             state["_derived_cache"] = {"columns": columns}
         return log
 
-    def _cached(self, key: str, factory: Callable[[], Any]) -> Any:
-        """Memoize a derived quantity on this (frozen) log."""
-        cache = self.__dict__.get("_derived_cache")
-        if cache is None:
-            cache = {}
-            object.__setattr__(self, "_derived_cache", cache)
-        if key not in cache:
-            cache[key] = factory()
-        return cache[key]
+    @classmethod
+    def _from_columns(
+        cls,
+        machine: str,
+        window_start: datetime,
+        window_end: datetime,
+        view: "ColumnarView",
+        strict_taxonomy: bool = True,
+    ) -> "FailureLog":
+        """A log over a view whose arrays passed every record- and
+        log-level check, sorted; records are built on first access."""
+        return cls._from_trusted(
+            machine, None, window_start, window_end, strict_taxonomy,
+            columns=view,
+        )
+
+    def __getattr__(self, name: str) -> Any:
+        # Only reached when normal lookup fails: ``records`` of a lazy
+        # log (see _from_columns) is built from its view, once.
+        view = self.__dict__.get("_derived_cache", {}).get("columns")
+        if name != "records" or view is None:
+            raise AttributeError(name)
+        records = records_from_view(view)
+        self.__dict__["records"] = records
+        return records
+
+    @property
+    def _lazy(self) -> bool:
+        """True while ``records`` has not been built from the view."""
+        return "records" not in self.__dict__
 
     def __getstate__(self) -> dict[str, Any]:
         # Derived caches hold NumPy arrays that are cheap to rebuild
-        # but expensive to ship to worker processes; drop them.
-        return {
+        # but expensive to ship to worker processes; drop them — except
+        # a lazy log's view, which is the only copy of its data.
+        state = {
             k: v for k, v in self.__dict__.items() if k != "_derived_cache"
         }
+        if self._lazy:
+            state["_derived_cache"] = {"columns": self.columns}
+        return state
 
     def __setstate__(self, state: dict[str, Any]) -> None:
         self.__dict__.update(state)
@@ -219,13 +253,18 @@ class FailureLog:
         Filtered sub-logs receive their parent's arrays sliced by mask
         rather than rebuilding from records.
         """
-        from repro.core.columns import build_columns
+        cache = self.__dict__.setdefault("_derived_cache", {})
+        if "columns" not in cache:
+            from repro.core.columns import build_columns
 
-        return self._cached("columns", lambda: build_columns(self))
+            cache["columns"] = build_columns(self)
+        return cache["columns"]
 
     # -- basic container protocol ----------------------------------------
 
     def __len__(self) -> int:
+        if self._lazy:
+            return len(self.columns)
         return len(self.records)
 
     def __iter__(self) -> Iterator[FailureRecord]:
@@ -248,53 +287,29 @@ class FailureLog:
 
     def timestamps_hours(self) -> list[float]:
         """All record offsets from the window start, in hours, sorted."""
-        return list(
-            self._cached(
-                "timestamps_hours",
-                lambda: tuple(
-                    self.hours_since_start(r) for r in self.records
-                ),
-            )
-        )
+        return self.columns.ts_hours.tolist()
 
     def categories(self) -> list[str]:
         """Category names present in the log, sorted by name."""
-        return list(
-            self._cached(
-                "categories",
-                lambda: tuple(sorted({r.category for r in self.records})),
-            )
-        )
+        cols = self.columns
+        names = cols.category_names
+        return [names[code] for code in np.unique(cols.category_codes)]
 
     def node_ids(self) -> list[int]:
         """Node ids present in the log, sorted."""
-        return list(
-            self._cached(
-                "node_ids",
-                lambda: tuple(sorted({r.node_id for r in self.records})),
-            )
-        )
+        return np.unique(self.columns.node_ids).tolist()
 
     # -- filtering and slicing ---------------------------------------------
 
-    def _rebuild(self, records: Iterable[FailureRecord]) -> "FailureLog":
-        """Build a sub-log from an order-preserving subset of this
-        log's records, skipping re-validation and re-sorting (the
-        records already passed both — see ``_from_trusted``)."""
-        return FailureLog._from_trusted(
-            machine=self.machine,
-            records=tuple(records),
-            window_start=self.window_start,
-            window_end=self.window_end,
-            strict_taxonomy=self._strict_taxonomy,
-        )
-
     def _subset(self, keep: np.ndarray) -> "FailureLog":
         """Build the sub-log selected by a boolean mask, propagating
-        the columnar view by slicing instead of recomputation."""
+        the columnar view by slicing instead of recomputation (a lazy
+        log gives a lazy sub-log)."""
         from itertools import compress
 
-        records = tuple(compress(self.records, keep))
+        records = (
+            None if self._lazy else tuple(compress(self.records, keep))
+        )
         cache = self.__dict__.get("_derived_cache") or {}
         source = cache.get("columns")
         return FailureLog._from_trusted(
@@ -409,3 +424,38 @@ class FailureLog:
             window_end=window_end,
             _strict_taxonomy=strict_taxonomy,
         )
+
+
+def records_from_view(view: "ColumnarView") -> tuple[FailureRecord, ...]:
+    """Rebuild the records a view's identity columns describe.
+
+    Records go through the validating constructor, so a view that does
+    not describe valid records raises here rather than later.
+    """
+    from repro.core.columns import us_to_datetime
+
+    names = view.category_names
+    loci = (*view.locus_names, None)  # code -1 picks the trailing None
+    bounds = view.slot_offsets.tolist()
+    slots = view.slot_values.tolist()
+    return tuple(
+        FailureRecord(
+            record_id,
+            us_to_datetime(us),
+            node_id,
+            names[code],
+            ttr,
+            tuple(slots[bounds[index]:bounds[index + 1]]),
+            loci[locus],
+        )
+        for index, (record_id, us, node_id, code, ttr, locus) in enumerate(
+            zip(
+                view.record_ids.tolist(),
+                view.ts_us.tolist(),
+                view.node_ids.tolist(),
+                view.category_codes.tolist(),
+                view.ttr_hours.tolist(),
+                view.locus_codes.tolist(),
+            )
+        )
+    )

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from datetime import datetime
+from typing import Any, Callable
 
 from repro.core.records import FailureLog, FailureRecord
 from repro.core.taxonomy import categories_for
@@ -220,8 +221,9 @@ def sift_records(
     machine: str,
     window_start: datetime,
     window_end: datetime,
-    rows: list[tuple[int, str | None, FailureRecord]],
+    rows: list[tuple[int, Any, FailureRecord]],
     quarantine: RowQuarantine,
+    preview: Callable[[Any], str | None] = lambda raw: raw,
 ) -> list[FailureRecord]:
     """Apply the log-level invariants row by row, quarantining violators.
 
@@ -232,7 +234,9 @@ def sift_records(
     one quarantined) and returns the survivors, which are then
     guaranteed to construct a valid log.
 
-    ``rows`` holds ``(line_number, raw_text, record)`` triples.
+    ``rows`` holds ``(line_number, raw, record)`` triples;
+    ``preview(raw)`` renders the raw text of a quarantined row, so
+    readers pay for it only on the rows that are quarantined.
     """
     valid_names = {cat.name for cat in categories_for(machine)}
     seen_ids: set[int] = set()
@@ -243,7 +247,7 @@ def sift_records(
                 line_number,
                 f"duplicate record_id {record.record_id}",
                 field="record_id",
-                raw=raw,
+                raw=preview(raw),
             )
             continue
         if not (window_start <= record.timestamp <= window_end):
@@ -253,7 +257,7 @@ def sift_records(
                 f"observation window [{window_start.isoformat()}, "
                 f"{window_end.isoformat()}]",
                 field="timestamp",
-                raw=raw,
+                raw=preview(raw),
             )
             continue
         if record.category not in valid_names:
@@ -262,7 +266,7 @@ def sift_records(
                 f"category {record.category!r} is not in the "
                 f"{machine} taxonomy",
                 field="category",
-                raw=raw,
+                raw=preview(raw),
             )
             continue
         seen_ids.add(record.record_id)

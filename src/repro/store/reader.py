@@ -4,8 +4,9 @@ The read path materializes the same structures the in-memory layer
 builds from records — :class:`~repro.core.columns.ColumnarView` for
 the vectorized kernels, :class:`~repro.core.records.FailureLog` for
 the record API — but sources the column arrays from the mmap'd
-segments.  For a single-segment store the stored columns (node ids,
-TTR, category codes, calendar fields, slot CSR) are handed out as
+segments.  For a single-segment store the stored columns (record
+ids, timestamps, node ids, TTR, category and locus codes, calendar
+fields, slot CSR) are handed out as
 direct read-only views over the mapping: NumPy's base chain keeps the
 mmap alive under every derived array (the same pinning guarantee
 :mod:`repro.parallel.shm` documents), so no bytes are copied and no
@@ -15,11 +16,11 @@ compaction (:mod:`repro.store.compact`) remedies.
 Bit-identity: the assembled view reproduces
 :func:`repro.core.columns.build_columns` exactly — the global
 category table is the sorted union of segment tables (== the sorted
-unique categories present), class/GPU code lookups run through the
-same ``_category_table`` helper, and hour offsets use the same float
-expression ``(Δus / 1e6) / 3600.0`` that ``timedelta.total_seconds``
-produces — so a round trip through the store is indistinguishable
-from having built the log in memory.
+unique categories present), and class/GPU codes and hour offsets come
+from the same :func:`~repro.core.columns.columns_from_arrays` every
+builder uses — so a round trip through the store is indistinguishable
+from having built the log in memory.  The log's records are rebuilt
+from the view's identity columns only when first touched.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.columns import ColumnarView, _category_table
-from repro.core.records import FailureLog, FailureRecord
+from repro.core.columns import ColumnarView, columns_from_arrays
+from repro.core.records import FailureLog
 from repro.store.segments import Segment, us_to_datetime
 
 __all__ = ["assemble_view", "materialize_log", "cut_rows"]
@@ -76,13 +77,8 @@ def assemble_view(
     machine: str,
     window_start_us: int,
     as_of_us: int | None = None,
-) -> tuple[ColumnarView, np.ndarray, np.ndarray, tuple[str, ...]]:
-    """Build a ColumnarView over the segments' mmap'd columns.
-
-    Returns ``(view, record_ids, locus_codes, locus_table)`` — the
-    extra arrays carry what a ColumnarView does not model but
-    :func:`materialize_log` needs.
-    """
+) -> ColumnarView:
+    """Build a ColumnarView over the segments' mmap'd columns."""
     visible = []
     for segment in segments:
         rows = cut_rows(segment, as_of_us)
@@ -94,9 +90,7 @@ def assemble_view(
     for segment, _ in visible:
         names.update(segment.category_table)
         loci.update(segment.locus_table)
-    table, class_by_code, gpu_by_code, complete = _category_table(
-        machine, sorted(names)
-    )
+    table = tuple(sorted(names))
     locus_table = tuple(sorted(loci))
 
     def prefix(segment: Segment, name: str, rows: int) -> np.ndarray:
@@ -184,24 +178,21 @@ def assemble_view(
         slot_values = np.empty(0, dtype=np.int32)
         offsets = np.zeros(1, dtype=np.int64)
 
-    view = ColumnarView(
-        machine=machine,
-        category_names=table,
-        taxonomy_complete=complete,
-        ts_hours=(ts_us - window_start_us) / 1e6 / 3600.0,
+    return columns_from_arrays(
+        machine,
+        window_start_us,
+        record_ids=record_ids,
+        ts_us=ts_us,
         node_ids=node_ids,
         ttr_hours=ttr,
+        category_names=table,
         category_codes=codes,
-        class_codes=class_by_code[codes],
-        gpu_counts=np.diff(offsets).astype(np.int16),
-        gpu_category=gpu_by_code[codes],
-        months=months,
-        weekdays=weekdays,
-        hours_of_day=hours,
+        locus_names=locus_table,
+        locus_codes=locus_codes,
         slot_values=slot_values,
         slot_offsets=offsets,
+        calendar=(months, weekdays, hours),
     )
-    return view, record_ids, locus_codes, locus_table
 
 
 def materialize_log(
@@ -212,60 +203,18 @@ def materialize_log(
     strict_taxonomy: bool,
     as_of_us: int | None = None,
 ) -> FailureLog:
-    """Materialize a FailureLog (records + injected columnar view).
+    """Materialize a FailureLog over the assembled columnar view.
 
-    Records are rebuilt through the validating ``FailureRecord``
-    constructor; log-level invariants (chronological order, unique
-    ids, in-window timestamps) are guaranteed by the store's append
-    rules and checksums, so :meth:`FailureLog._from_trusted` applies —
-    the injected view means kernels run on the mmap'd arrays without
-    a rebuild.
+    Log-level invariants (chronological order, unique ids, in-window
+    timestamps) are guaranteed by the store's append rules and
+    checksums, so :meth:`FailureLog._from_columns` applies: kernels
+    run on the mmap'd arrays, and records are built from them only
+    when first touched.
     """
-    view, record_ids, locus_codes, locus_table = assemble_view(
-        segments, machine, window_start_us, as_of_us
-    )
-    ts_us = None
-    records = []
-    offsets = view.slot_offsets
-    slot_values = view.slot_values
-    names = view.category_names
-    for segment in segments:
-        rows = cut_rows(segment, as_of_us)
-        if rows:
-            part = segment.col("ts_us")
-            part = part if rows == segment.rows else part[:rows]
-            ts_us = part if ts_us is None else np.concatenate(
-                [ts_us, part]
-            )
-    if ts_us is None:
-        ts_us = np.empty(0, dtype=np.int64)
-    ids = record_ids.tolist()
-    stamps = ts_us.tolist()
-    nodes = view.node_ids.tolist()
-    ttrs = view.ttr_hours.tolist()
-    codes = view.category_codes.tolist()
-    loci = locus_codes.tolist()
-    bounds = offsets.tolist()
-    slots = slot_values.tolist()
-    for index in range(len(ids)):
-        start, end = bounds[index], bounds[index + 1]
-        locus = loci[index]
-        records.append(
-            FailureRecord(
-                record_id=ids[index],
-                timestamp=us_to_datetime(stamps[index]),
-                node_id=nodes[index],
-                category=names[codes[index]],
-                ttr_hours=ttrs[index],
-                gpus_involved=tuple(slots[start:end]),
-                root_locus=locus_table[locus] if locus >= 0 else None,
-            )
-        )
-    return FailureLog._from_trusted(
-        machine=machine,
-        records=tuple(records),
-        window_start=us_to_datetime(window_start_us),
-        window_end=us_to_datetime(window_end_us),
+    return FailureLog._from_columns(
+        machine,
+        us_to_datetime(window_start_us),
+        us_to_datetime(window_end_us),
+        assemble_view(segments, machine, window_start_us, as_of_us),
         strict_taxonomy=strict_taxonomy,
-        columns=view,
     )

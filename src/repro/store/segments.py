@@ -44,11 +44,11 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass
-from datetime import datetime, timedelta
 from pathlib import Path
 
 import numpy as np
 
+from repro.core.columns import datetimes_to_us, us_to_datetime
 from repro.errors import StoreCorruptError, StoreError
 
 __all__ = [
@@ -82,29 +82,6 @@ COLUMN_DTYPES: dict[str, str] = {
     "slot_offsets": "<i8",
     "slot_values": "<i4",
 }
-
-_EPOCH = datetime(1970, 1, 1)
-_US = timedelta(microseconds=1)
-
-
-def datetimes_to_us(stamps) -> np.ndarray:
-    """Convert naive datetimes to integer microseconds since the epoch.
-
-    Integer ``timedelta`` division keeps the full microsecond
-    precision of :class:`datetime`, so the round trip through
-    :func:`us_to_datetime` is exact.
-    """
-    return np.fromiter(
-        ((stamp - _EPOCH) // _US for stamp in stamps),
-        dtype=np.int64,
-        count=len(stamps),
-    )
-
-
-def us_to_datetime(us: int) -> datetime:
-    """Inverse of :func:`datetimes_to_us` for one value."""
-    return _EPOCH + timedelta(microseconds=int(us))
-
 
 def _aligned(offset: int) -> int:
     return (offset + _ALIGN - 1) // _ALIGN * _ALIGN

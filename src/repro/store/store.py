@@ -401,7 +401,7 @@ class FailureStore:
         updated["rows"] = int(manifest["rows"]) + len(log)
         updated["last_record_id"] = max(
             int(manifest["last_record_id"]),
-            max(r.record_id for r in log.records),
+            int(columns["record_id"].max()),
         )
         updated["watermark_us"] = int(columns["ts_us"][-1])
         updated["window_start_us"] = start_us

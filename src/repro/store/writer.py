@@ -158,39 +158,22 @@ def batch_columns(
     """Segment-shaped column arrays of a validated batch.
 
     Reuses the batch's own :class:`ColumnarView` (the exact arrays
-    ``build_columns`` derives — calendar fields, category codes, slot
-    CSR), so what lands on disk is bit-identical to what the in-memory
-    layer computes.
+    ``build_columns`` derives — identity columns, calendar fields,
+    category and locus codes, slot CSR), so what lands on disk is
+    bit-identical to what the in-memory layer computes.
     """
     cols = log.columns
-    records = log.records
-    locus_table = tuple(
-        sorted({r.root_locus for r in records if r.root_locus})
-    )
-    locus_code = {name: code for code, name in enumerate(locus_table)}
-    loci = np.fromiter(
-        (
-            locus_code[r.root_locus] if r.root_locus else -1
-            for r in records
-        ),
-        dtype=np.int32,
-        count=len(records),
-    )
     columns = {
-        "record_id": np.fromiter(
-            (r.record_id for r in records),
-            dtype=np.int64,
-            count=len(records),
-        ),
-        "ts_us": datetimes_to_us([r.timestamp for r in records]),
+        "record_id": cols.record_ids,
+        "ts_us": cols.ts_us,
         "node_id": cols.node_ids,
         "ttr_hours": cols.ttr_hours,
         "category": cols.category_codes,
-        "locus": loci,
+        "locus": cols.locus_codes,
         "month": cols.months,
         "weekday": cols.weekdays,
         "hour": cols.hours_of_day,
         "slot_offsets": cols.slot_offsets,
         "slot_values": cols.slot_values,
     }
-    return columns, cols.category_names, locus_table
+    return columns, cols.category_names, cols.locus_names

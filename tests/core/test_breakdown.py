@@ -114,6 +114,20 @@ class TestSoftwareRootLoci:
         # A missing locus is grouped under "unknown".
         assert result.share_of("unknown") == pytest.approx(1 / 3)
 
+    def test_unknown_locus_merges_with_missing(self):
+        records = [
+            make_record(0, hours=1, category="Software",
+                        root_locus="unknown"),
+            make_record(1, hours=2, category="Software", root_locus=""),
+            make_record(2, hours=3, category="Software", root_locus=None),
+            make_record(3, hours=4, category="Software",
+                        root_locus="lustre"),
+        ]
+        result = software_root_loci(make_log(records, machine="tsubame3"))
+        assert [(s.category, s.count) for s in result.shares] == [
+            ("unknown", 3), ("lustre", 1),
+        ]
+
     def test_no_software_failures_rejected(self):
         log = make_log([make_record(0, hours=1, category="GPU")],
                        machine="tsubame3")
