@@ -9,8 +9,8 @@ model caps a single generated trace at the node count), this times:
 * log construction (generation plus tiling),
 * a chained-filter pass — trusted mask path vs. re-validating every
   subset through the public constructor,
-* the full analysis pass (every vectorized kernel) vs. the
-  ``_reference_*`` implementations,
+* the full analysis pass (every vectorized kernel) vs. the per-record
+  oracles in ``tests/core/oracles.py``,
 * each TBF / spatial / seasonal / multi-GPU kernel individually,
 * ``read_csv`` of the tiled log — the columnar reader vs. the
   row-by-row oracle in ``tests/io/oracles.py``, after asserting both
@@ -48,6 +48,7 @@ from repro.synth import GeneratorConfig, generate_log
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT))
+from tests.core import oracles  # noqa: E402
 from tests.io.oracles import read_csv_rows  # noqa: E402
 REPORT_PATH = REPO_ROOT / "BENCH_core.json"
 
@@ -207,34 +208,34 @@ def analysis_chain_reference(log: FailureLog) -> dict:
         gpu, lambda r: log.window_start <= r.timestamp < end
     )
     return {
-        "tbf": metrics._reference_tbf_series_hours(mid),
-        "ttr": metrics._reference_ttr_series_hours(mid),
+        "tbf": oracles.tbf_series_hours(mid),
+        "ttr": oracles.ttr_series_hours(mid),
         "tbf_categories": [
             e.category
-            for e in temporal._reference_tbf_by_category(log)
+            for e in oracles.tbf_by_category(log)
         ],
-        "node_counts": spatial._reference_node_failure_distribution(
+        "node_counts": oracles.node_failure_distribution(
             mid
         ).counts_per_node,
-        "class_split": spatial._reference_repeat_failure_class_split(
+        "class_split": oracles.repeat_failure_class_split(
             log
         ),
-        "slots": spatial._reference_gpu_slot_distribution(
+        "slots": oracles.gpu_slot_distribution(
             gpu, (0, 1, 2)
         ),
-        "monthly": seasonal._reference_monthly_failure_counts(
+        "monthly": oracles.monthly_failure_counts(
             mid
         ).counts,
         "monthly_ttr_keys": sorted(
-            seasonal._reference_monthly_ttr(log).summaries
+            oracles.monthly_ttr(log).summaries
         ),
-        "weekday": seasonal._reference_weekday_profile(log),
-        "hourly": seasonal._reference_hour_of_day_profile(log),
-        "involvement": multigpu._reference_multi_gpu_involvement(
+        "weekday": oracles.weekday_profile(log),
+        "hourly": oracles.hour_of_day_profile(log),
+        "involvement": oracles.multi_gpu_involvement(
             mid, 3
         ),
         "clustering_events": len(
-            multigpu._reference_multi_gpu_clustering(log).events
+            oracles.multi_gpu_clustering(log).events
         ),
     }
 
@@ -243,31 +244,31 @@ def analysis_chain_reference(log: FailureLog) -> dict:
 KERNELS = {
     "tbf_series": (
         metrics.tbf_series_hours,
-        metrics._reference_tbf_series_hours,
+        oracles.tbf_series_hours,
     ),
     "tbf_by_category": (
         temporal.tbf_by_category,
-        temporal._reference_tbf_by_category,
+        oracles.tbf_by_category,
     ),
     "node_failure_distribution": (
         spatial.node_failure_distribution,
-        spatial._reference_node_failure_distribution,
+        oracles.node_failure_distribution,
     ),
     "repeat_failure_class_split": (
         spatial.repeat_failure_class_split,
-        spatial._reference_repeat_failure_class_split,
+        oracles.repeat_failure_class_split,
     ),
     "monthly_ttr": (
         seasonal.monthly_ttr,
-        seasonal._reference_monthly_ttr,
+        oracles.monthly_ttr,
     ),
     "hour_of_day_profile": (
         seasonal.hour_of_day_profile,
-        seasonal._reference_hour_of_day_profile,
+        oracles.hour_of_day_profile,
     ),
     "multi_gpu_clustering": (
         multigpu.multi_gpu_clustering,
-        multigpu._reference_multi_gpu_clustering,
+        oracles.multi_gpu_clustering,
     ),
 }
 

@@ -11,8 +11,9 @@ The analyses are organised by research question:
 
 plus the shared data model (:mod:`repro.core.records`), taxonomy
 (:mod:`repro.core.taxonomy`), metric definitions
-(:mod:`repro.core.metrics`) and text report rendering
-(:mod:`repro.core.report`).
+(:mod:`repro.core.metrics`), text report rendering
+(:mod:`repro.core.report`) and the ``/analyze`` payload formatters
+(:mod:`repro.core.payloads`).
 """
 
 from repro.core.breakdown import (

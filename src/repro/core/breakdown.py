@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core import taxonomy
+from repro.core.columns import ColumnarView
 from repro.core.records import FailureLog
 from repro.core.taxonomy import FailureClass
 from repro.errors import AnalysisError
@@ -20,6 +21,7 @@ from repro.errors import AnalysisError
 __all__ = [
     "CategoryShare",
     "CategoryBreakdown",
+    "category_counts",
     "category_breakdown",
     "RootLocusBreakdown",
     "software_root_loci",
@@ -43,6 +45,26 @@ class CategoryBreakdown:
     machine: str
     total: int
     shares: tuple[CategoryShare, ...]
+
+    @classmethod
+    def from_counts(
+        cls, machine: str, counts: dict[str, int]
+    ) -> "CategoryBreakdown":
+        """Figure 2 from category name -> failure count.
+
+        Raises:
+            AnalysisError: If no category has a failure.
+            TaxonomyError: On a category outside the machine taxonomy.
+        """
+        total = sum(counts.values())
+        if total == 0:
+            raise AnalysisError(
+                "category breakdown of an empty log is undefined"
+            )
+        shares = _ranked_shares(
+            counts, total, lambda name: taxonomy.failure_class(machine, name)
+        )
+        return cls(machine=machine, total=total, shares=shares)
 
     def share_of(self, category: str) -> float:
         """Return the share of one category (0.0 if absent)."""
@@ -76,35 +98,23 @@ class CategoryBreakdown:
         return self.shares[0].category
 
 
+def category_counts(cols: ColumnarView) -> dict[str, int]:
+    """Category name -> failure count, over categories with any."""
+    return _named_counts(
+        cols.category_names,
+        np.bincount(cols.category_codes, minlength=len(cols.category_names)),
+    )
+
+
 def category_breakdown(log: FailureLog) -> CategoryBreakdown:
     """Compute the Figure 2 breakdown of ``log``.
-
-    Shares are sorted by descending count, ties broken by name so the
-    output is deterministic.
 
     Raises:
         AnalysisError: If the log is empty.
     """
-    if len(log) == 0:
-        raise AnalysisError("category breakdown of an empty log is undefined")
-    cols = log.columns
-    counts = _named_counts(
-        cols.category_names,
-        np.bincount(cols.category_codes, minlength=len(cols.category_names)),
+    return CategoryBreakdown.from_counts(
+        log.machine, category_counts(log.columns)
     )
-    total = len(log)
-    shares = tuple(
-        CategoryShare(
-            category=name,
-            count=count,
-            share=count / total,
-            failure_class=taxonomy.failure_class(log.machine, name),
-        )
-        for name, count in sorted(
-            counts.items(), key=lambda item: (-item[1], item[0])
-        )
-    )
-    return CategoryBreakdown(machine=log.machine, total=total, shares=shares)
 
 
 @dataclass(frozen=True)
@@ -150,18 +160,28 @@ def software_root_loci(
         np.bincount(cols.locus_codes + 1, minlength=len(cols.locus_names) + 1),
     )
     total = len(software)
-    shares = tuple(
+    return RootLocusBreakdown(
+        total_software=total,
+        shares=_ranked_shares(
+            counts, total, lambda locus: FailureClass.SOFTWARE
+        ),
+    )
+
+
+def _ranked_shares(counts, total, class_of) -> tuple[CategoryShare, ...]:
+    """Shares by descending count, ties broken by name so the output
+    is deterministic."""
+    return tuple(
         CategoryShare(
-            category=locus,
+            category=name,
             count=count,
             share=count / total,
-            failure_class=FailureClass.SOFTWARE,
+            failure_class=class_of(name),
         )
-        for locus, count in sorted(
+        for name, count in sorted(
             counts.items(), key=lambda item: (-item[1], item[0])
         )
     )
-    return RootLocusBreakdown(total_software=total, shares=shares)
 
 
 def _named_counts(names, counts: np.ndarray) -> dict[str, int]:

@@ -33,6 +33,8 @@ __all__ = [
     "mtbf_span",
     "mttr",
     "availability",
+    "downtime_hours",
+    "fleet_availability",
     "PerformanceErrorProportionality",
     "performance_error_proportionality",
     "job_interruption_probability",
@@ -40,16 +42,6 @@ __all__ = [
 
 _PFLOPS_TO_FLOPS = 1e15
 _SECONDS_PER_HOUR = 3600.0
-
-
-def _reference_tbf_series_hours(log: FailureLog) -> list[float]:
-    """Pure-Python TBF series, retained for the parity suite."""
-    if len(log) < 2:
-        raise AnalysisError(
-            f"TBF needs at least 2 failures, log has {len(log)}"
-        )
-    stamps = log.timestamps_hours()
-    return [later - earlier for earlier, later in zip(stamps, stamps[1:])]
 
 
 def tbf_series_hours(log: FailureLog) -> list[float]:
@@ -67,11 +59,6 @@ def tbf_series_hours(log: FailureLog) -> list[float]:
             f"TBF needs at least 2 failures, log has {len(log)}"
         )
     return np.diff(log.columns.ts_hours).tolist()
-
-
-def _reference_ttr_series_hours(log: FailureLog) -> list[float]:
-    """Pure-Python TTR series, retained for the parity suite."""
-    return [record.ttr_hours for record in log]
 
 
 def ttr_series_hours(log: FailureLog) -> list[float]:
@@ -121,9 +108,19 @@ def availability(log: FailureLog, num_nodes: int) -> float:
     """
     if num_nodes <= 0:
         raise AnalysisError(f"num_nodes must be positive, got {num_nodes}")
-    downtime_node_hours = float(np.sum(ttr_series_hours(log)))
-    capacity_node_hours = num_nodes * log.span_hours
-    return max(0.0, 1.0 - downtime_node_hours / capacity_node_hours)
+    return fleet_availability(downtime_hours(log), num_nodes, log.span_hours)
+
+
+def downtime_hours(log: FailureLog) -> float:
+    """Total node-hours out of service: the sum of the TTR series."""
+    return float(np.sum(ttr_series_hours(log)))
+
+
+def fleet_availability(
+    downtime_node_hours: float, num_nodes: int, span_hours: float
+) -> float:
+    """1 - downtime / (num_nodes * span), floored at 0."""
+    return max(0.0, 1.0 - downtime_node_hours / (num_nodes * span_hours))
 
 
 @dataclass(frozen=True)

@@ -8,18 +8,20 @@ cluster in time: one is likely to be followed by another soon after.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.records import FailureLog, FailureRecord
+from repro.core.columns import ColumnarView
+from repro.core.records import FailureLog
 from repro.errors import AnalysisError
 
 __all__ = [
     "MultiGpuInvolvement",
+    "gpu_involvement_counts",
     "multi_gpu_involvement",
     "MultiGpuClustering",
+    "clustering_ratio",
     "multi_gpu_clustering",
 ]
 
@@ -31,6 +33,25 @@ class MultiGpuInvolvement:
     machine: str
     max_gpus: int
     counts: dict[int, int]
+
+    @classmethod
+    def from_counts(
+        cls, machine: str, max_gpus: int, counts: dict[int, int]
+    ) -> "MultiGpuInvolvement":
+        """Table III from #GPUs -> record counts.
+
+        Raises:
+            AnalysisError: On an invalid ``max_gpus`` or more GPUs
+                than the node has.
+        """
+        if max_gpus < 1:
+            raise AnalysisError(f"max_gpus must be >= 1, got {max_gpus}")
+        if counts and max(counts) > max_gpus:
+            raise AnalysisError(
+                f"a record involves {max(counts)} GPUs but the node "
+                f"only has {max_gpus}"
+            )
+        return cls(machine=machine, max_gpus=max_gpus, counts=dict(counts))
 
     @property
     def total(self) -> int:
@@ -65,26 +86,11 @@ class MultiGpuInvolvement:
         ]
 
 
-def _reference_multi_gpu_involvement(
-    log: FailureLog, max_gpus: int
-) -> MultiGpuInvolvement:
-    """Pure-Python Table III, retained for the parity suite."""
-    if max_gpus < 1:
-        raise AnalysisError(f"max_gpus must be >= 1, got {max_gpus}")
-    counts: Counter[int] = Counter()
-    for record in log:
-        involved = record.num_gpus_involved
-        if involved == 0:
-            continue
-        if involved > max_gpus:
-            raise AnalysisError(
-                f"record {record.record_id} involves {involved} GPUs but "
-                f"the node only has {max_gpus}"
-            )
-        counts[involved] += 1
-    return MultiGpuInvolvement(
-        machine=log.machine, max_gpus=max_gpus, counts=dict(counts)
-    )
+def gpu_involvement_counts(cols: ColumnarView) -> dict[int, int]:
+    """#GPUs involved -> number of records, over records with any."""
+    involved = cols.gpu_counts[cols.gpu_counts > 0]
+    nums, tallies = np.unique(involved, return_counts=True)
+    return dict(zip(nums.tolist(), tallies.tolist()))
 
 
 def multi_gpu_involvement(
@@ -97,20 +103,19 @@ def multi_gpu_involvement(
 
     Raises:
         AnalysisError: On an invalid ``max_gpus`` or out-of-range
-            involvement.
+            involvement (naming the first offending record).
     """
-    if max_gpus < 1:
-        raise AnalysisError(f"max_gpus must be >= 1, got {max_gpus}")
-    involved = log.columns.gpu_counts
-    involved = involved[involved > 0]
-    if involved.size and int(involved.max()) > max_gpus:
-        # Rare error path: re-scan per record for the exact message.
-        return _reference_multi_gpu_involvement(log, max_gpus)
-    nums, tallies = np.unique(involved, return_counts=True)
-    return MultiGpuInvolvement(
-        machine=log.machine,
-        max_gpus=max_gpus,
-        counts=dict(zip(nums.tolist(), tallies.tolist())),
+    cols = log.columns
+    over = cols.gpu_counts > max_gpus
+    if max_gpus >= 1 and over.any():
+        first = int(np.argmax(over))
+        raise AnalysisError(
+            f"record {int(cols.record_ids[first])} involves "
+            f"{int(cols.gpu_counts[first])} GPUs but the node only has "
+            f"{max_gpus}"
+        )
+    return MultiGpuInvolvement.from_counts(
+        log.machine, max_gpus, gpu_involvement_counts(cols)
     )
 
 
@@ -157,62 +162,33 @@ class MultiGpuClustering:
 
     @property
     def clustering_ratio(self) -> float:
-        """mean(gap after single) / mean(gap after multi).
-
-        Values above 1 mean multi-GPU failures beget multi-GPU failures
-        sooner than single-GPU failures do — the Figure 8 claim.  When
-        multi-GPU failures chain so tightly that *no* single-GPU
-        failure ever precedes a later multi-GPU one, clustering is
-        maximal and the ratio is +inf.
-        """
-        after_multi = self.mean_gap_after_multi
-        if not np.isfinite(after_multi) or after_multi <= 0:
-            return float("nan")
-        if not self.gaps_after_single:
-            return float("inf")
-        return self.mean_gap_after_single / after_multi
+        """See :func:`clustering_ratio`."""
+        return clustering_ratio(
+            self.mean_gap_after_single, self.mean_gap_after_multi
+        )
 
     def is_clustered(self) -> bool:
         """True when the clustering ratio exceeds 1 (inf included)."""
-        ratio = self.clustering_ratio
-        return bool(not np.isnan(ratio) and ratio > 1.0)
+        return bool(self.clustering_ratio > 1.0)
 
 
-def _reference_multi_gpu_clustering(log: FailureLog) -> MultiGpuClustering:
-    """Pure-Python Figure 8, retained for the parity suite."""
-    involved: list[tuple[float, FailureRecord]] = [
-        (log.hours_since_start(record), record)
-        for record in log
-        if record.num_gpus_involved > 0
-    ]
-    if not involved:
-        raise AnalysisError(
-            "log has no GPU failures with recorded involvement"
-        )
-    events = tuple(
-        (time, record.num_gpus_involved) for time, record in involved
-    )
-    gaps_after_multi: list[float] = []
-    gaps_after_single: list[float] = []
-    for index, (time, record) in enumerate(involved):
-        next_multi_time = None
-        for later_time, later_record in involved[index + 1:]:
-            if later_record.num_gpus_involved > 1:
-                next_multi_time = later_time
-                break
-        if next_multi_time is None:
-            continue
-        gap = next_multi_time - time
-        if record.num_gpus_involved > 1:
-            gaps_after_multi.append(gap)
-        else:
-            gaps_after_single.append(gap)
-    return MultiGpuClustering(
-        machine=log.machine,
-        events=events,
-        gaps_after_multi=tuple(gaps_after_multi),
-        gaps_after_single=tuple(gaps_after_single),
-    )
+def clustering_ratio(
+    mean_gap_after_single: float, mean_gap_after_multi: float
+) -> float:
+    """mean(gap after single) / mean(gap after multi), each mean nan
+    over no gaps.
+
+    Values above 1 mean multi-GPU failures beget multi-GPU failures
+    sooner than single-GPU failures do — the Figure 8 claim.  When
+    *no* single-GPU failure precedes a later multi-GPU one, clustering
+    is maximal and the ratio is +inf; without a positive mean gap
+    after multi-GPU failures it is nan.
+    """
+    if not np.isfinite(mean_gap_after_multi) or mean_gap_after_multi <= 0:
+        return float("nan")
+    if np.isnan(mean_gap_after_single):
+        return float("inf")
+    return mean_gap_after_single / mean_gap_after_multi
 
 
 def multi_gpu_clustering(log: FailureLog) -> MultiGpuClustering:

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.columns import ColumnarView
 from repro.core.records import FailureLog
 from repro.errors import AnalysisError
 from repro.stats.correlation import CorrelationResult, pearson, spearman
@@ -23,6 +24,7 @@ __all__ = [
     "MonthlyTtr",
     "monthly_ttr",
     "MonthlyFailureCounts",
+    "month_counts",
     "monthly_failure_counts",
     "SeasonalCorrelation",
     "ttr_density_correlation",
@@ -76,22 +78,6 @@ class MonthlyTtr:
         return first_mean, second_mean
 
 
-def _reference_monthly_ttr(log: FailureLog) -> MonthlyTtr:
-    """Pure-Python Figure 11, retained for the parity suite."""
-    if len(log) == 0:
-        raise AnalysisError("monthly TTR of an empty log is undefined")
-    by_month: dict[int, list[float]] = {}
-    for record in log:
-        by_month.setdefault(record.timestamp.month, []).append(
-            record.ttr_hours
-        )
-    summaries = {
-        month: five_number_summary(values)
-        for month, values in by_month.items()
-    }
-    return MonthlyTtr(machine=log.machine, summaries=summaries)
-
-
 def monthly_ttr(log: FailureLog) -> MonthlyTtr:
     """Compute the Figure 11 monthly TTR distributions.
 
@@ -115,6 +101,21 @@ class MonthlyFailureCounts:
 
     machine: str
     counts: dict[int, int]
+
+    @classmethod
+    def from_counts(
+        cls, machine: str, counts: dict[int, int]
+    ) -> "MonthlyFailureCounts":
+        """Figure 12 from month (1..12) -> failure count.
+
+        Raises:
+            AnalysisError: If no month has a failure.
+        """
+        if not counts:
+            raise AnalysisError(
+                "monthly failure counts of an empty log are undefined"
+            )
+        return cls(machine=machine, counts=dict(counts))
 
     @property
     def total(self) -> int:
@@ -140,17 +141,10 @@ class MonthlyFailureCounts:
         return max(MONTHS, key=lambda m: (self.count_for(m), -m))
 
 
-def _reference_monthly_failure_counts(log: FailureLog) -> MonthlyFailureCounts:
-    """Pure-Python Figure 12, retained for the parity suite."""
-    if len(log) == 0:
-        raise AnalysisError(
-            "monthly failure counts of an empty log are undefined"
-        )
-    counts: dict[int, int] = {}
-    for record in log:
-        month = record.timestamp.month
-        counts[month] = counts.get(month, 0) + 1
-    return MonthlyFailureCounts(machine=log.machine, counts=counts)
+def month_counts(cols: ColumnarView) -> dict[int, int]:
+    """Calendar month (1..12) -> failure count, over months with any."""
+    months, tallies = np.unique(cols.months, return_counts=True)
+    return dict(zip(months.tolist(), tallies.tolist()))
 
 
 def monthly_failure_counts(log: FailureLog) -> MonthlyFailureCounts:
@@ -159,14 +153,8 @@ def monthly_failure_counts(log: FailureLog) -> MonthlyFailureCounts:
     Raises:
         AnalysisError: If the log is empty.
     """
-    if len(log) == 0:
-        raise AnalysisError(
-            "monthly failure counts of an empty log are undefined"
-        )
-    months, tallies = np.unique(log.columns.months, return_counts=True)
-    return MonthlyFailureCounts(
-        machine=log.machine,
-        counts=dict(zip(months.tolist(), tallies.tolist())),
+    return MonthlyFailureCounts.from_counts(
+        log.machine, month_counts(log.columns)
     )
 
 
@@ -265,16 +253,6 @@ class WeekdayProfile:
         return max(self.counts) / low
 
 
-def _reference_weekday_profile(log: FailureLog) -> WeekdayProfile:
-    """Pure-Python weekday counts, retained for the parity suite."""
-    if len(log) == 0:
-        raise AnalysisError("weekday profile of an empty log is undefined")
-    counts = [0] * 7
-    for record in log:
-        counts[record.timestamp.weekday()] += 1
-    return WeekdayProfile(machine=log.machine, counts=tuple(counts))
-
-
 def weekday_profile(log: FailureLog) -> WeekdayProfile:
     """Count failures per day of week.
 
@@ -325,18 +303,6 @@ class HourOfDayProfile:
         if self.total == 0:
             return 0.0
         return sum(self.counts[start:end]) / self.total
-
-
-def _reference_hour_of_day_profile(log: FailureLog) -> HourOfDayProfile:
-    """Pure-Python hour-of-day counts, retained for the parity suite."""
-    if len(log) == 0:
-        raise AnalysisError(
-            "hour-of-day profile of an empty log is undefined"
-        )
-    counts = [0] * 24
-    for record in log:
-        counts[record.timestamp.hour] += 1
-    return HourOfDayProfile(machine=log.machine, counts=tuple(counts))
 
 
 def hour_of_day_profile(log: FailureLog) -> HourOfDayProfile:

@@ -13,13 +13,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core import taxonomy
-from repro.core.columns import CLASS_CODES
+from repro.core.columns import CLASS_CODES, ColumnarView
 from repro.core.records import FailureLog
 from repro.core.taxonomy import FailureClass
 from repro.errors import AnalysisError
 
 __all__ = [
     "NodeFailureDistribution",
+    "node_counts",
     "node_failure_distribution",
     "RepeatFailureClassSplit",
     "repeat_failure_class_split",
@@ -44,6 +45,26 @@ class NodeFailureDistribution:
     machine: str
     counts_per_node: dict[int, int]
     histogram: dict[int, int]
+
+    @classmethod
+    def from_counts(
+        cls, machine: str, counts_per_node: dict[int, int]
+    ) -> "NodeFailureDistribution":
+        """Figure 4 from node id -> failure count (affected nodes only).
+
+        Raises:
+            AnalysisError: If no node has a failure.
+        """
+        if not counts_per_node:
+            raise AnalysisError(
+                "node failure distribution of an empty log is undefined"
+            )
+        histogram = Counter(counts_per_node.values())
+        return cls(
+            machine=machine,
+            counts_per_node=dict(counts_per_node),
+            histogram=dict(sorted(histogram.items())),
+        )
 
     @property
     def num_affected_nodes(self) -> int:
@@ -88,21 +109,10 @@ class NodeFailureDistribution:
         return ranked[:k]
 
 
-def _reference_node_failure_distribution(
-    log: FailureLog,
-) -> NodeFailureDistribution:
-    """Pure-Python Figure 4, retained for the parity suite."""
-    if len(log) == 0:
-        raise AnalysisError(
-            "node failure distribution of an empty log is undefined"
-        )
-    counts = Counter(record.node_id for record in log)
-    histogram = Counter(counts.values())
-    return NodeFailureDistribution(
-        machine=log.machine,
-        counts_per_node=dict(counts),
-        histogram=dict(histogram),
-    )
+def node_counts(cols: ColumnarView) -> dict[int, int]:
+    """Node id -> failure count, over the nodes with any failure."""
+    nodes, per_node = np.unique(cols.node_ids, return_counts=True)
+    return dict(zip(nodes.tolist(), per_node.tolist()))
 
 
 def node_failure_distribution(log: FailureLog) -> NodeFailureDistribution:
@@ -111,16 +121,8 @@ def node_failure_distribution(log: FailureLog) -> NodeFailureDistribution:
     Raises:
         AnalysisError: If the log is empty.
     """
-    if len(log) == 0:
-        raise AnalysisError(
-            "node failure distribution of an empty log is undefined"
-        )
-    nodes, per_node = np.unique(log.columns.node_ids, return_counts=True)
-    ks, num_nodes = np.unique(per_node, return_counts=True)
-    return NodeFailureDistribution(
-        machine=log.machine,
-        counts_per_node=dict(zip(nodes.tolist(), per_node.tolist())),
-        histogram=dict(zip(ks.tolist(), num_nodes.tolist())),
+    return NodeFailureDistribution.from_counts(
+        log.machine, node_counts(log.columns)
     )
 
 
@@ -150,36 +152,15 @@ class RepeatFailureClassSplit:
         )
 
 
-def _reference_repeat_failure_class_split(
-    log: FailureLog,
-) -> RepeatFailureClassSplit:
-    """Pure-Python class split, retained for the parity suite."""
-    distribution = node_failure_distribution(log)
-    multi_nodes = {
-        node for node, count in distribution.counts_per_node.items()
-        if count > 1
-    }
-    tallies = {cls: 0 for cls in FailureClass}
-    for record in log:
-        if record.node_id not in multi_nodes:
-            continue
-        cls = taxonomy.failure_class(log.machine, record.category)
-        tallies[cls] += 1
-    return RepeatFailureClassSplit(
-        machine=log.machine,
-        num_multi_failure_nodes=len(multi_nodes),
-        hardware_failures=tallies[FailureClass.HARDWARE],
-        software_failures=tallies[FailureClass.SOFTWARE],
-        unknown_failures=tallies[FailureClass.UNKNOWN],
-    )
-
-
 def repeat_failure_class_split(log: FailureLog) -> RepeatFailureClassSplit:
-    """Split failures on multi-failure nodes by hardware/software class."""
+    """Split failures on multi-failure nodes by hardware/software class.
+
+    Raises:
+        AnalysisError: If the log is empty.
+        TaxonomyError: If a record on a multi-failure node has an
+            ad-hoc category (naming the first such record's category).
+    """
     cols = log.columns
-    if not cols.taxonomy_complete:
-        # Ad-hoc categories must keep raising TaxonomyError per record.
-        return _reference_repeat_failure_class_split(log)
     if len(log) == 0:
         raise AnalysisError(
             "node failure distribution of an empty log is undefined"
@@ -187,6 +168,14 @@ def repeat_failure_class_split(log: FailureLog) -> RepeatFailureClassSplit:
     nodes, per_node = np.unique(cols.node_ids, return_counts=True)
     multi = nodes[per_node > 1]
     on_multi = np.isin(cols.node_ids, multi)
+    if not cols.taxonomy_complete:
+        # Resolve the categories on multi-failure nodes in order of
+        # first appearance: the first ad-hoc one raises the
+        # TaxonomyError a per-record scan would meet first.
+        codes = cols.category_codes[on_multi]
+        _, first = np.unique(codes, return_index=True)
+        for code in codes[np.sort(first)].tolist():
+            taxonomy.failure_class(log.machine, cols.category_names[code])
     tallies = np.bincount(
         cols.class_codes[on_multi], minlength=len(CLASS_CODES)
     )
@@ -245,25 +234,6 @@ class GpuSlotDistribution:
         return max(values) / low
 
 
-def _reference_gpu_slot_distribution(
-    log: FailureLog, gpu_slots: tuple[int, ...]
-) -> GpuSlotDistribution:
-    """Pure-Python Figure 5, retained for the parity suite."""
-    if not gpu_slots:
-        raise AnalysisError("gpu_slots must be non-empty")
-    valid = set(gpu_slots)
-    counts = {slot: 0 for slot in gpu_slots}
-    for record in log:
-        for slot in record.gpus_involved:
-            if slot not in valid:
-                raise AnalysisError(
-                    f"record {record.record_id} involves GPU slot {slot}, "
-                    f"which is not among the node's slots {sorted(valid)}"
-                )
-            counts[slot] += 1
-    return GpuSlotDistribution(machine=log.machine, counts=counts)
-
-
 def gpu_slot_distribution(
     log: FailureLog, gpu_slots: tuple[int, ...]
 ) -> GpuSlotDistribution:
@@ -284,9 +254,17 @@ def gpu_slot_distribution(
         raise AnalysisError("gpu_slots must be non-empty")
     slots = log.columns.slot_values
     wanted = np.asarray(sorted(set(gpu_slots)), dtype=slots.dtype)
-    if slots.size and not np.isin(slots, wanted).all():
-        # Rare error path: re-scan per record for the exact message.
-        return _reference_gpu_slot_distribution(log, gpu_slots)
+    outside = ~np.isin(slots, wanted)
+    if outside.any():
+        # Name the first offending slot and the record that holds it.
+        cols = log.columns
+        first = int(np.argmax(outside))
+        record = np.searchsorted(cols.slot_offsets, first, "right") - 1
+        raise AnalysisError(
+            f"record {int(cols.record_ids[record])} involves GPU slot "
+            f"{int(slots[first])}, which is not among the node's slots "
+            f"{sorted(set(gpu_slots))}"
+        )
     tallies = np.bincount(
         slots, minlength=int(wanted[-1]) + 1 if wanted.size else 0
     )
@@ -366,25 +344,6 @@ class RackFailureDistribution:
         return (2.0 * cumulative) / (n * self.total) - (n + 1.0) / n
 
 
-def _reference_rack_failure_distribution(log, layout) -> RackFailureDistribution:
-    """Pure-Python rack aggregation, retained for the parity suite."""
-    if len(log) == 0:
-        raise AnalysisError(
-            "rack failure distribution of an empty log is undefined"
-        )
-    if layout.machine != log.machine:
-        raise AnalysisError(
-            f"layout is for {layout.machine!r} but log is for "
-            f"{log.machine!r}"
-        )
-    counts = Counter(layout.rack_of(record.node_id) for record in log)
-    return RackFailureDistribution(
-        machine=log.machine,
-        counts=dict(counts),
-        num_racks=layout.num_racks,
-    )
-
-
 def rack_failure_distribution(log, layout) -> RackFailureDistribution:
     """Aggregate a log's failures per rack.
 
@@ -406,9 +365,8 @@ def rack_failure_distribution(log, layout) -> RackFailureDistribution:
             f"{log.machine!r}"
         )
     # One rack lookup per affected node instead of one per record.
-    nodes, per_node = np.unique(log.columns.node_ids, return_counts=True)
     counts: dict[int, int] = {}
-    for node, count in zip(nodes.tolist(), per_node.tolist()):
+    for node, count in node_counts(log.columns).items():
         rack = layout.rack_of(node)
         counts[rack] = counts.get(rack, 0) + count
     return RackFailureDistribution(

@@ -88,32 +88,6 @@ class CategoryTbf:
         return self.summary.iqr
 
 
-def _reference_tbf_by_category(
-    log: FailureLog, min_failures: int = 3
-) -> list[CategoryTbf]:
-    """Per-record-path Figure 7, retained for the parity suite."""
-    if min_failures < 2:
-        raise AnalysisError(
-            f"min_failures must be >= 2 to define any TBF, "
-            f"got {min_failures}"
-        )
-    results = []
-    for name in log.categories():
-        sub = log.by_category(name)
-        if len(sub) < min_failures:
-            continue
-        series = metrics._reference_tbf_series_hours(sub)
-        results.append(
-            CategoryTbf(category=name, summary=five_number_summary(series))
-        )
-    if not results:
-        raise AnalysisError(
-            f"no category has at least {min_failures} failures"
-        )
-    results.sort(key=lambda entry: entry.mean_hours)
-    return results
-
-
 def tbf_by_category(
     log: FailureLog, min_failures: int = 3
 ) -> list[CategoryTbf]:

@@ -33,17 +33,13 @@ from functools import partial
 from pathlib import Path
 from typing import Any, Callable
 
-from repro.core.breakdown import category_breakdown
-from repro.core.metrics import availability, mtbf, mtbf_span, mttr
-from repro.core.multigpu import multi_gpu_clustering, multi_gpu_involvement
+from repro.core.payloads import PAYLOADS
 from repro.core.records import FailureLog
-from repro.core.seasonal import monthly_failure_counts, monthly_ttr
-from repro.core.spatial import node_failure_distribution
 from repro.errors import ReproError, ServeError
 from repro.io import KNOWN_FORMATS, read_log
 from repro.io.formats import format_for_media_type
 from repro.io.tolerant import ON_ERROR_MODES, LogReadReport
-from repro.machines.specs import get_machine, known_machines
+from repro.machines.specs import known_machines
 from repro.parallel import default_processes, sweep_iter
 from repro.serve.admission import AdmissionController, RateLimiter
 from repro.serve.cache import ResultCache, canonical_key
@@ -65,99 +61,11 @@ from repro.train.metrics import ettf_payload
 __all__ = ["ANALYSES", "ReproApp", "SimulateJob"]
 
 
-# --------------------------------------------------------------------------
-# Analysis payloads (pure: FailureLog -> JSON-friendly dict)
-# --------------------------------------------------------------------------
-
-def breakdown_payload(log: FailureLog) -> dict[str, Any]:
-    """Category breakdown (the paper's Figure 2 / RQ1)."""
-    breakdown = category_breakdown(log)
-    return {
-        "machine": log.machine,
-        "failures": len(log),
-        "dominant_category": breakdown.dominant_category,
-        "categories": [
-            {
-                "category": share.category,
-                "count": share.count,
-                "share": share.share,
-                "class": share.failure_class.name,
-            }
-            for share in breakdown.shares
-        ],
-    }
-
-
-def metrics_payload(log: FailureLog) -> dict[str, Any]:
-    """Headline MTBF/MTTR/availability metrics."""
-    spec = get_machine(log.machine)
-    return {
-        "machine": log.machine,
-        "failures": len(log),
-        "span_hours": log.span_hours,
-        "mtbf_hours": mtbf(log),
-        "mtbf_span_hours": mtbf_span(log),
-        "mttr_hours": mttr(log),
-        "availability": availability(log, spec.num_nodes),
-        "num_nodes": spec.num_nodes,
-    }
-
-
-def spatial_payload(log: FailureLog) -> dict[str, Any]:
-    """Per-node failure concentration (Figure 3 / RQ3)."""
-    distribution = node_failure_distribution(log)
-    return {
-        "machine": log.machine,
-        "affected_nodes": distribution.num_affected_nodes,
-        "total_failures": distribution.total_failures,
-        "top_nodes": [
-            [node_id, count]
-            for node_id, count in distribution.top_nodes(10)
-        ],
-        "cdf": [
-            [k, fraction] for k, fraction in distribution.cdf_points()
-        ],
-    }
-
-
-def seasonal_payload(log: FailureLog) -> dict[str, Any]:
-    """Monthly failure counts and TTR seasonality (Figures 11-12)."""
-    counts = monthly_failure_counts(log)
-    ttr = monthly_ttr(log)
-    return {
-        "machine": log.machine,
-        "monthly_failures": counts.series(),
-        "peak_month": counts.peak_month(),
-        "monthly_ttr_means_hours": ttr.means(),
-    }
-
-
-def multigpu_payload(log: FailureLog) -> dict[str, Any]:
-    """Multi-GPU involvement and clustering (Table III / Figure 8)."""
-    spec = get_machine(log.machine)
-    involvement = multi_gpu_involvement(log, spec.gpus_per_node)
-    clustering = multi_gpu_clustering(log)
-    return {
-        "machine": log.machine,
-        "multi_gpu_share": involvement.multi_gpu_share,
-        "involvement": [
-            {"gpus": gpus, "count": count, "share": share}
-            for gpus, count, share in involvement.rows()
-        ],
-        "clustering_ratio": clustering.clustering_ratio,
-        "is_clustered": clustering.is_clustered(),
-    }
-
-
 #: Analysis endpoints served under ``/analyze/{dataset}/{name}``.
 #: Apps copy this table, so tests can swap a single instance's
 #: handler (e.g. for a chaos wrapper) without touching the module.
 ANALYSES: dict[str, Callable[[FailureLog], dict[str, Any]]] = {
-    "breakdown": breakdown_payload,
-    "metrics": metrics_payload,
-    "spatial": spatial_payload,
-    "seasonal": seasonal_payload,
-    "multigpu": multigpu_payload,
+    **PAYLOADS,
     "ettf": ettf_payload,
 }
 

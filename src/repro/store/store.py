@@ -20,9 +20,9 @@ Open-time recovery, in order:
    interior data would silently change history;
 3. segment files the manifest does not name (a crash between segment
    write and manifest commit) are quarantined as ``.orphan``;
-4. materialized views are loaded if their token matches the committed
-   manifest, else rebuilt from the segments through the same absorb
-   path appends use — bit-identical state either way.
+4. materialized views are loaded if their token and checksum match the
+   committed manifest, else rebuilt through the same absorb path
+   appends use — bit-identical state either way.
 
 ``open_store(path, as_of=...)`` opens a read-only view of the store
 as it stood at an event time: time-monotone appends make the cut a
@@ -423,7 +423,7 @@ class FailureStore:
         self.segments = self.segments + [
             open_segment(self.root / name, verify=False)
         ]
-        views.absorb(columns, category_table, locus_table)
+        views.absorb(log.columns)
         self._views = views
         views.save(self.root, manifest_fingerprint(updated))
         self._log = None
@@ -470,11 +470,11 @@ class FailureStore:
     def views(self) -> StoreViews:
         """The store's incremental views, loading or rebuilding once.
 
-        A full-store handle loads ``views.json`` when its token
-        matches the committed manifest and rebuilds through the
-        append-time absorb path otherwise; an ``as_of`` handle always
-        rebuilds over the visible prefix (time travel is a query
-        feature, not the serving hot path).
+        A full-store handle loads ``views.json`` when its token and
+        checksum match the committed manifest and otherwise absorbs
+        :meth:`log`'s columns; an ``as_of`` handle always rebuilds
+        over the visible prefix (time travel is a query feature, not
+        the serving hot path).
         """
         if self._views is not None:
             return self._views
@@ -489,25 +489,7 @@ class FailureStore:
                 self._views = loaded
                 return loaded
         views = StoreViews(self.machine, int(start_us))
-        for segment in self.segments:
-            rows = cut_rows(segment, self.as_of_us)
-            if rows == 0:
-                continue
-            columns = segment.columns
-            if rows != segment.rows:
-                offsets = columns["slot_offsets"][: rows + 1]
-                columns = {
-                    name: array[:rows]
-                    for name, array in columns.items()
-                    if name not in ("slot_offsets", "slot_values")
-                }
-                columns["slot_offsets"] = offsets
-                columns["slot_values"] = segment.columns[
-                    "slot_values"
-                ][: int(offsets[-1])]
-            views.absorb(
-                columns, segment.category_table, segment.locus_table
-            )
+        views.absorb(self.log().columns)
         self._views = views
         if self.as_of_us is None:
             views.save(self.root, manifest_fingerprint(self.manifest))

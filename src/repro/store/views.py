@@ -3,21 +3,22 @@
 A :class:`StoreViews` carries enough sufficient statistics to rebuild
 every ``/analyze`` payload the serving layer exposes — breakdown,
 metrics, spatial, seasonal, multigpu — without touching the event
-columns.  Appending a batch updates the statistics as deltas
-(:meth:`StoreViews.absorb`), so analytics over a million-record store
-cost O(batch), not O(store); the :mod:`repro.stream` online estimators
-(:class:`~repro.stream.online.Welford` for means,
-:class:`~repro.stream.online.GKQuantileSketch` for quantiles,
-:class:`~repro.stream.online.EwmaRate` for the recent failure rate)
-are the merge algebra, persisted across restarts via their
-``state()``/``from_state()`` snapshots.
+columns.  :meth:`StoreViews.absorb` folds a
+:class:`~repro.core.columns.ColumnarView` into them: each appended
+batch's, so analytics cost O(batch), not O(store), or on a rebuild the
+whole store's.  The :mod:`repro.stream.online` estimators (Welford
+means, GK quantile sketches, an EWMA rate) are the merge algebra.
 
-Parity contract (asserted by :func:`verify_parity`, the property
-suite, and the store benchmark):
+Each analysis has one formulation, shared with the cold
+:mod:`repro.core` kernels: their counting helpers give the integer
+tallies (merged by addition), and their result constructors,
+clustering-ratio rule and :mod:`repro.core.payloads` formatters give
+the payloads.  Parity contract (asserted by :func:`verify_parity`, the
+property suite, and the store benchmark):
 
-* every integer-derived value — counts, shares (``count / total``),
-  ``span``/``mtbf_span`` (same float expression), sort orders, CDFs —
-  is **exactly** equal to the cold :mod:`repro.core` kernels;
+* the set of analyses, shapes, counts, shares, sort orders, CDFs,
+  peak months and the involvement table equal the cold kernels' **by
+  construction**;
 * float means (MTBF, MTTR, availability, monthly TTR, clustering
   gaps) agree to a relative 1e-9: the cold kernels use NumPy's
   pairwise summation while the incremental path uses Welford updates
@@ -25,24 +26,40 @@ suite, and the store benchmark):
   last bits;
 * the state depends only on the record *sequence*, never on how it
   was split into batches — Welford/GK updates are per-element and the
-  multi-GPU clustering sums are exact integers — so rebuilding from
-  segments after compaction reproduces the incremental state
-  bit-for-bit (the lone exception, the EWMA mass, is diagnostic-only
-  and never enters a payload).
+  multi-GPU clustering sums are exact integers — so a rebuild
+  reproduces the incremental state bit-for-bit (the lone exception,
+  the EWMA mass, is diagnostic-only and never enters a payload).
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
+from functools import partial
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
-from repro.core.seasonal import MONTHS
-from repro.core.taxonomy import failure_class
+from repro.core.breakdown import CategoryBreakdown, category_counts
+from repro.core.columns import ColumnarView
+from repro.core.multigpu import (
+    MultiGpuInvolvement,
+    clustering_ratio,
+    gpu_involvement_counts,
+)
+from repro.core.payloads import (
+    PAYLOADS,
+    format_breakdown,
+    format_metrics,
+    format_multigpu,
+    format_seasonal,
+    format_spatial,
+)
+from repro.core.seasonal import MONTHS, MonthlyFailureCounts, month_counts
+from repro.core.spatial import NodeFailureDistribution, node_counts
 from repro.errors import AnalysisError, StoreCorruptError, TaxonomyError
 from repro.machines.specs import get_machine
 from repro.stream.online import EwmaRate, GKQuantileSketch, Welford
@@ -51,23 +68,22 @@ __all__ = ["StoreViews", "VIEWS_NAME", "verify_parity"]
 
 VIEWS_NAME = "views.json"
 
-_STATE_VERSION = 1
+_STATE_VERSION = 2
+_STATE_KEY = b', "state": '
 _US_PER_HOUR = 3_600_000_000
-#: int64-safe chunk size for exact microsecond sums (see _exact_sum).
-_SUM_CHUNK = 16_384
-
-
-def _exact_sum(values: np.ndarray) -> int:
-    """Exact Python-int sum of an int64 array.
-
-    Microsecond offsets over a decade reach ~3e14; a million-row
-    ``np.sum`` would overflow int64.  Chunked partial sums stay safely
-    inside int64 and accumulate in arbitrary-precision Python ints.
-    """
-    total = 0
-    for start in range(0, values.size, _SUM_CHUNK):
-        total += int(values[start:start + _SUM_CHUNK].sum())
-    return total
+#: Persisted fields by kind, besides machine, window, category counts
+#: and month TTR.
+_INTS = (
+    "rows", "pending_single_count", "pending_single_us",
+    "gaps_multi_count", "gaps_multi_us", "gaps_single_count",
+    "gaps_single_us",
+)
+_OPTIONAL_INTS = ("last_ts_us", "last_multi_us")
+_INT_KEYED = ("node_counts", "month_counts", "involvement")
+_ESTIMATORS = {
+    "ttr": Welford, "gaps": Welford, "ttr_sketch": GKQuantileSketch,
+    "gap_sketch": GKQuantileSketch, "rate": EwmaRate,
+}
 
 
 class StoreViews:
@@ -79,15 +95,12 @@ class StoreViews:
         self.rows = 0
         self.category_counts: dict[str, int] = {}
         self.node_counts: dict[int, int] = {}
-        self.month_counts = [0] * 12
-        self.weekday_counts = [0] * 7
-        self.hour_counts = [0] * 24
+        self.month_counts: dict[int, int] = {}
+        self.involvement: dict[int, int] = {}
         self.month_ttr: dict[int, Welford] = {}
         self.ttr = Welford()
         self.gaps = Welford()
         self.last_ts_us: int | None = None
-        self.first_ts_us: int | None = None
-        self.involvement: dict[int, int] = {}
         # Multi-GPU clustering (Figure 8) as exact integer sums: every
         # involved event waits for the *next* multi-GPU event; when one
         # arrives at T, each pending event at t contributes a gap
@@ -107,55 +120,21 @@ class StoreViews:
 
     # -- delta maintenance -------------------------------------------------
 
-    def absorb(
-        self,
-        columns: dict[str, np.ndarray],
-        category_table: tuple[str, ...],
-        locus_table: tuple[str, ...],
-    ) -> None:
-        """Fold one batch of segment-shaped columns into the views.
+    def absorb(self, cols: ColumnarView) -> None:
+        """Fold a time-ordered run of records, after those already in.
 
-        The caller (writer on append, reader on rebuild) passes the
-        exact arrays a segment stores, in record order; both paths run
-        this one method, which is what makes a rebuild bit-identical
-        to the incremental history.
+        The writer passes each appended batch's view and a rebuild the
+        whole store's; both run this one method, which is what makes a
+        rebuild bit-identical to the incremental history.
         """
-        del locus_table  # loci never enter a materialized payload
-        ts_us = columns["ts_us"]
-        n = int(ts_us.shape[0])
+        n = len(cols)
         if n == 0:
             return
-        ttr = columns["ttr_hours"]
-        months = columns["month"]
-
-        # Category / node / calendar tallies: exact integer counts.
-        codes, tallies = np.unique(columns["category"], return_counts=True)
-        for code, count in zip(codes.tolist(), tallies.tolist()):
-            name = category_table[code]
-            self.category_counts[name] = (
-                self.category_counts.get(name, 0) + count
-            )
-        nodes, tallies = np.unique(columns["node_id"], return_counts=True)
-        for node, count in zip(nodes.tolist(), tallies.tolist()):
-            self.node_counts[node] = self.node_counts.get(node, 0) + count
-        for month, count in zip(
-            *map(np.ndarray.tolist, np.unique(months, return_counts=True))
-        ):
-            self.month_counts[month - 1] += count
-        for day, count in zip(
-            *map(
-                np.ndarray.tolist,
-                np.unique(columns["weekday"], return_counts=True),
-            )
-        ):
-            self.weekday_counts[day] += count
-        for hour, count in zip(
-            *map(
-                np.ndarray.tolist,
-                np.unique(columns["hour"], return_counts=True),
-            )
-        ):
-            self.hour_counts[hour] += count
+        ts_us, ttr, months = cols.ts_us, cols.ttr_hours, cols.months
+        _add(self.category_counts, category_counts(cols))
+        _add(self.node_counts, node_counts(cols))
+        _add(self.month_counts, month_counts(cols))
+        _add(self.involvement, gpu_involvement_counts(cols))
 
         # TTR means: Welford per calendar month plus overall.
         for month in np.unique(months).tolist():
@@ -176,7 +155,6 @@ class StoreViews:
             gap_values = np.diff(ts_hours, prepend=previous)
         else:
             gap_values = np.diff(ts_hours)
-            self.first_ts_us = int(ts_us[0])
         self.gaps.push_many(gap_values)
         self.gap_sketch.push_many(gap_values)
         self.last_ts_us = int(ts_us[-1])
@@ -192,43 +170,28 @@ class StoreViews:
              "count": rate["count"] + n}
         )
 
-        # Multi-GPU involvement and clustering.
-        gpu_counts = np.diff(columns["slot_offsets"])
-        involved = np.nonzero(gpu_counts > 0)[0]
-        if involved.size:
-            nums, tallies = np.unique(
-                gpu_counts[involved], return_counts=True
+        # Multi-GPU clustering, summed exactly in Python ints.
+        involved = np.nonzero(cols.gpu_counts > 0)[0]
+        rel_us = (ts_us[involved] - self.window_start_us).tolist()
+        previous = 0
+        for position in np.nonzero(cols.gpu_counts[involved] > 1)[0].tolist():
+            # Everything between two multi events is single-GPU.
+            self.pending_single_count += position - previous
+            self.pending_single_us += sum(rel_us[previous:position])
+            arrival = rel_us[position]
+            self.gaps_single_us += (
+                self.pending_single_count * arrival - self.pending_single_us
             )
-            for num, count in zip(nums.tolist(), tallies.tolist()):
-                self.involvement[num] = (
-                    self.involvement.get(num, 0) + count
-                )
-            rel_us = (ts_us[involved] - self.window_start_us).astype(
-                np.int64
-            )
-            is_multi = gpu_counts[involved] > 1
-            previous = 0
-            for position in np.nonzero(is_multi)[0].tolist():
-                # Everything between two multi events is single-GPU.
-                span = rel_us[previous:position]
-                self.pending_single_count += span.size
-                self.pending_single_us += _exact_sum(span)
-                arrival = int(rel_us[position])
-                self.gaps_single_us += (
-                    self.pending_single_count * arrival
-                    - self.pending_single_us
-                )
-                self.gaps_single_count += self.pending_single_count
-                self.pending_single_count = 0
-                self.pending_single_us = 0
-                if self.last_multi_us is not None:
-                    self.gaps_multi_count += 1
-                    self.gaps_multi_us += arrival - self.last_multi_us
-                self.last_multi_us = arrival
-                previous = position + 1
-            tail = rel_us[previous:]
-            self.pending_single_count += tail.size
-            self.pending_single_us += _exact_sum(tail)
+            self.gaps_single_count += self.pending_single_count
+            self.pending_single_count = 0
+            self.pending_single_us = 0
+            if self.last_multi_us is not None:
+                self.gaps_multi_count += 1
+                self.gaps_multi_us += arrival - self.last_multi_us
+            self.last_multi_us = arrival
+            previous = position + 1
+        self.pending_single_count += len(rel_us) - previous
+        self.pending_single_us += sum(rel_us[previous:])
 
         self.rows += n
 
@@ -237,165 +200,43 @@ class StoreViews:
     def payloads(self, window_end_us: int) -> dict[str, dict[str, Any]]:
         """Every ``/analyze`` payload whose preconditions hold.
 
-        Shapes mirror :mod:`repro.serve.app` exactly; analyses the
-        cold kernels would refuse (empty store, single failure, no GPU
-        involvement) are simply absent, so the serving layer falls
-        back to the cold path — which raises the same error the
-        in-memory dataset would.
+        Analyses the result constructors and formatters refuse (empty
+        store, single failure, no GPU involvement, ad-hoc categories)
+        are simply absent, so the serving layer falls back to the cold
+        path — which raises the same error the in-memory dataset would.
         """
-        payloads: dict[str, dict[str, Any]] = {}
-        builders = {
-            "breakdown": self._breakdown,
-            "metrics": lambda: self._metrics(window_end_us),
-            "spatial": self._spatial,
-            "seasonal": self._seasonal,
-            "multigpu": self._multigpu,
-        }
-        for name, builder in builders.items():
-            try:
-                payloads[name] = builder()
-            except (AnalysisError, TaxonomyError):
-                # Ad-hoc categories in lenient stores raise
-                # TaxonomyError exactly like the cold kernels would.
-                continue
-        return payloads
-
-    def _breakdown(self) -> dict[str, Any]:
-        if self.rows == 0:
-            raise AnalysisError(
-                "category breakdown of an empty log is undefined"
-            )
-        ranked = sorted(
-            self.category_counts.items(),
-            key=lambda item: (-item[1], item[0]),
-        )
-        return {
-            "machine": self.machine,
-            "failures": self.rows,
-            "dominant_category": ranked[0][0],
-            "categories": [
-                {
-                    "category": name,
-                    "count": count,
-                    "share": count / self.rows,
-                    "class": failure_class(self.machine, name).name,
-                }
-                for name, count in ranked
-            ],
-        }
-
-    def _metrics(self, window_end_us: int) -> dict[str, Any]:
-        if self.rows < 2:
-            raise AnalysisError(
-                f"TBF needs at least 2 failures, store has {self.rows}"
-            )
-        spec = get_machine(self.machine)
-        span_hours = (
-            (window_end_us - self.window_start_us) / 1e6 / 3600.0
-        )
-        downtime = self.ttr.mean * self.rows
-        return {
-            "machine": self.machine,
-            "failures": self.rows,
-            "span_hours": span_hours,
-            "mtbf_hours": self.gaps.mean,
-            "mtbf_span_hours": span_hours / self.rows,
-            "mttr_hours": self.ttr.mean,
-            "availability": max(
-                0.0, 1.0 - downtime / (spec.num_nodes * span_hours)
+        machine, rows = self.machine, self.rows
+        spec = get_machine(machine)
+        span_hours = (window_end_us - self.window_start_us) / 1e6 / 3600.0
+        ttr_means = [
+            self.month_ttr[m].mean if m in self.month_ttr else float("nan")
+            for m in MONTHS
+        ]
+        return _available({
+            "breakdown": lambda: format_breakdown(
+                CategoryBreakdown.from_counts(machine, self.category_counts)
             ),
-            "num_nodes": spec.num_nodes,
-        }
-
-    def _spatial(self) -> dict[str, Any]:
-        if self.rows == 0:
-            raise AnalysisError(
-                "node failure distribution of an empty log is undefined"
-            )
-        affected = len(self.node_counts)
-        histogram: dict[int, int] = {}
-        for count in self.node_counts.values():
-            histogram[count] = histogram.get(count, 0) + 1
-        ranked = sorted(
-            self.node_counts.items(), key=lambda item: (-item[1], item[0])
-        )
-        cdf = []
-        running = 0
-        for k in sorted(histogram):
-            running += histogram[k]
-            cdf.append([k, running / affected])
-        return {
-            "machine": self.machine,
-            "affected_nodes": affected,
-            "total_failures": sum(self.node_counts.values()),
-            "top_nodes": [[node, count] for node, count in ranked[:10]],
-            "cdf": cdf,
-        }
-
-    def _seasonal(self) -> dict[str, Any]:
-        if self.rows == 0:
-            raise AnalysisError("monthly TTR of an empty log is undefined")
-        return {
-            "machine": self.machine,
-            "monthly_failures": list(self.month_counts),
-            "peak_month": max(
-                MONTHS, key=lambda m: (self.month_counts[m - 1], -m)
+            "metrics": lambda: format_metrics(
+                machine, rows, span_hours, self.gaps.mean, self.ttr.mean,
+                self.ttr.mean * rows,
             ),
-            "monthly_ttr_means_hours": [
-                self.month_ttr[m].mean
-                if m in self.month_ttr
-                else float("nan")
-                for m in MONTHS
-            ],
-        }
-
-    def _multigpu(self) -> dict[str, Any]:
-        total = sum(self.involvement.values())
-        if total == 0:
-            raise AnalysisError(
-                "log has no GPU failures with recorded involvement"
-            )
-        spec = get_machine(self.machine)
-        max_gpus = spec.gpus_per_node
-        if max(self.involvement) > max_gpus:
-            raise AnalysisError(
-                f"a record involves {max(self.involvement)} GPUs but "
-                f"the node only has {max_gpus}"
-            )
-        multi = sum(
-            count for num, count in self.involvement.items() if num > 1
-        )
-        if self.gaps_multi_count == 0:
-            mean_after_multi = float("nan")
-        else:
-            mean_after_multi = (
-                self.gaps_multi_us / self.gaps_multi_count
-            ) / _US_PER_HOUR
-        if not math.isfinite(mean_after_multi) or mean_after_multi <= 0:
-            ratio = float("nan")
-        elif self.gaps_single_count == 0:
-            ratio = float("inf")
-        else:
-            ratio = (
-                (self.gaps_single_us / self.gaps_single_count)
-                / _US_PER_HOUR
-            ) / mean_after_multi
-        return {
-            "machine": self.machine,
-            "multi_gpu_share": multi / total,
-            "involvement": [
-                {
-                    "gpus": num,
-                    "count": self.involvement.get(num, 0),
-                    "share": self.involvement.get(num, 0) / total,
-                }
-                for num in range(1, max_gpus + 1)
-            ],
-            "clustering_ratio": ratio,
-            "is_clustered": bool(
-                not math.isnan(ratio) and ratio > 1.0
+            "spatial": lambda: format_spatial(
+                NodeFailureDistribution.from_counts(machine, self.node_counts)
             ),
-        }
+            "seasonal": lambda: format_seasonal(
+                MonthlyFailureCounts.from_counts(machine, self.month_counts),
+                ttr_means,
+            ),
+            "multigpu": lambda: format_multigpu(
+                MultiGpuInvolvement.from_counts(
+                    machine, spec.gpus_per_node, self.involvement
+                ),
+                clustering_ratio(
+                    _mean_hours(self.gaps_single_us, self.gaps_single_count),
+                    _mean_hours(self.gaps_multi_us, self.gaps_multi_count),
+                ),
+            ),
+        })
 
     def info(self) -> dict[str, Any]:
         """Diagnostic summary for ``store info`` / dataset describe."""
@@ -425,96 +266,64 @@ class StoreViews:
 
     def state(self) -> dict[str, Any]:
         """JSON-serializable snapshot; exact inverse of :meth:`from_state`."""
-        return {
+        state: dict[str, Any] = {
             "version": _STATE_VERSION,
             "machine": self.machine,
             "window_start_us": self.window_start_us,
-            "rows": self.rows,
             "category_counts": self.category_counts,
-            "node_counts": {
-                str(node): count
-                for node, count in self.node_counts.items()
-            },
-            "month_counts": self.month_counts,
-            "weekday_counts": self.weekday_counts,
-            "hour_counts": self.hour_counts,
             "month_ttr": {
                 str(month): welford.state()
                 for month, welford in self.month_ttr.items()
             },
-            "ttr": self.ttr.state(),
-            "gaps": self.gaps.state(),
-            "last_ts_us": self.last_ts_us,
-            "first_ts_us": self.first_ts_us,
-            "involvement": {
-                str(num): count for num, count in self.involvement.items()
-            },
-            "pending_single_count": self.pending_single_count,
-            "pending_single_us": self.pending_single_us,
-            "last_multi_us": self.last_multi_us,
-            "gaps_multi_count": self.gaps_multi_count,
-            "gaps_multi_us": self.gaps_multi_us,
-            "gaps_single_count": self.gaps_single_count,
-            "gaps_single_us": self.gaps_single_us,
-            "ttr_sketch": self.ttr_sketch.state(),
-            "gap_sketch": self.gap_sketch.state(),
-            "rate": self.rate.state(),
         }
+        for name in _INTS + _OPTIONAL_INTS:
+            state[name] = getattr(self, name)
+        for name in _INT_KEYED:
+            state[name] = {str(k): n for k, n in getattr(self, name).items()}
+        for name in _ESTIMATORS:
+            state[name] = getattr(self, name).state()
+        return state
 
     @classmethod
     def from_state(cls, state: dict[str, Any]) -> "StoreViews":
         """Restore views bit-identically from a :meth:`state` snapshot."""
         views = cls(state["machine"], state["window_start_us"])
-        views.rows = int(state["rows"])
-        views.category_counts = dict(state["category_counts"])
-        views.node_counts = {
-            int(node): count
-            for node, count in state["node_counts"].items()
+        views.category_counts = {
+            str(name): int(count)
+            for name, count in state["category_counts"].items()
         }
-        views.month_counts = list(state["month_counts"])
-        views.weekday_counts = list(state["weekday_counts"])
-        views.hour_counts = list(state["hour_counts"])
         views.month_ttr = {
             int(month): Welford.from_state(snapshot)
             for month, snapshot in state["month_ttr"].items()
         }
-        views.ttr = Welford.from_state(state["ttr"])
-        views.gaps = Welford.from_state(state["gaps"])
-        views.last_ts_us = state["last_ts_us"]
-        views.first_ts_us = state["first_ts_us"]
-        views.involvement = {
-            int(num): count
-            for num, count in state["involvement"].items()
-        }
-        views.pending_single_count = int(state["pending_single_count"])
-        views.pending_single_us = int(state["pending_single_us"])
-        views.last_multi_us = state["last_multi_us"]
-        views.gaps_multi_count = int(state["gaps_multi_count"])
-        views.gaps_multi_us = int(state["gaps_multi_us"])
-        views.gaps_single_count = int(state["gaps_single_count"])
-        views.gaps_single_us = int(state["gaps_single_us"])
-        views.ttr_sketch = GKQuantileSketch.from_state(
-            state["ttr_sketch"]
-        )
-        views.gap_sketch = GKQuantileSketch.from_state(
-            state["gap_sketch"]
-        )
-        views.rate = EwmaRate.from_state(state["rate"])
+        for name in _INTS:
+            setattr(views, name, int(state[name]))
+        for name in _OPTIONAL_INTS:
+            value = state[name]
+            setattr(views, name, None if value is None else int(value))
+        for name in _INT_KEYED:
+            setattr(views, name, {
+                int(key): int(count) for key, count in state[name].items()
+            })
+        for name, kind in _ESTIMATORS.items():
+            setattr(views, name, kind.from_state(state[name]))
         return views
 
     def save(self, root: str | Path, token: str) -> None:
         """Write ``views.json`` bound to one committed manifest state.
 
-        Written via temp-and-rename like the manifest; a stale or torn
-        file merely costs a rebuild, never wrong analytics, because
-        :meth:`load` refuses any token mismatch.
+        Written via temp-and-rename like the manifest; a stale, torn or
+        edited file merely costs a rebuild, never wrong analytics,
+        because :meth:`load` refuses any token or checksum mismatch.
         """
         root = Path(root)
         path = root / VIEWS_NAME
         tmp = root / (VIEWS_NAME + ".tmp")
-        blob = json.dumps(
-            {"token": token, "state": self.state()}
-        ).encode("utf-8")
+        body = json.dumps(self.state()).encode("utf-8")
+        head = json.dumps({"token": token, "sha256": _checksum(body)})
+        # The state goes last, as ``json.dumps`` of the whole object
+        # would write it, so load can checksum the bytes it parses.
+        blob = head[:-1].encode("utf-8") + _STATE_KEY + body + b"}"
         with open(tmp, "wb") as handle:
             handle.write(blob)
             handle.flush()
@@ -523,21 +332,49 @@ class StoreViews:
 
     @classmethod
     def load(cls, root: str | Path, token: str) -> "StoreViews | None":
-        """Load saved views if they match ``token``; None means rebuild."""
-        path = Path(root) / VIEWS_NAME
+        """Load saved views if their token and checksum match; None —
+        for any mismatch or malformed file — means rebuild."""
         try:
-            saved = json.loads(path.read_bytes())
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError):
-            return None
-        if not isinstance(saved, dict) or saved.get("token") != token:
-            return None
-        try:
+            raw = (Path(root) / VIEWS_NAME).read_bytes()
+            saved = json.loads(raw)
             state = saved["state"]
-            if state.get("version") != _STATE_VERSION:
+            body = raw[raw.find(_STATE_KEY) + len(_STATE_KEY):-1]
+            if (
+                saved["token"] != token
+                or saved["sha256"] != _checksum(body)
+                or state["version"] != _STATE_VERSION
+            ):
                 return None
             return cls.from_state(state)
-        except (KeyError, TypeError, ValueError):
+        except (OSError, ValueError, LookupError, TypeError, AttributeError):
             return None
+
+
+def _add(tally: dict, counts: dict) -> None:
+    for key, count in counts.items():
+        tally[key] = tally.get(key, 0) + count
+
+
+def _mean_hours(total_us: int, count: int) -> float:
+    """Mean of ``count`` microsecond gaps in hours (nan over none)."""
+    return (total_us / count) / _US_PER_HOUR if count else float("nan")
+
+
+def _checksum(body: bytes) -> str:
+    return hashlib.sha256(body).hexdigest()
+
+
+def _available(
+    builders: dict[str, Callable[[], dict[str, Any]]],
+) -> dict[str, dict[str, Any]]:
+    """Every payload whose builder's preconditions hold."""
+    payloads = {}
+    for name, build in builders.items():
+        try:
+            payloads[name] = build()
+        except (AnalysisError, TaxonomyError):
+            continue
+    return payloads
 
 
 # --------------------------------------------------------------------------
@@ -552,50 +389,41 @@ def verify_parity(
 ) -> None:
     """Assert materialized payloads match the cold kernels on ``log``.
 
-    Integer-derived values must be exactly equal; floats to
-    ``rel_tol`` (see the module docstring for why bit-exact float
-    means are impossible against pairwise summation).
+    ``payloads`` must hold exactly the analyses the cold kernels
+    answer on ``log``.  Integer-derived values must be exactly equal;
+    floats to ``rel_tol`` (see the module docstring for why bit-exact
+    float means are impossible against pairwise summation).
 
     Raises:
         StoreCorruptError: On the first mismatch, naming the path.
     """
-    from repro.serve.app import ANALYSES  # lazy: avoids an import cycle
-
-    for name, payload in payloads.items():
-        cold = ANALYSES[name](log)
-        _compare(name, payload, cold, rel_tol)
+    cold = _available(
+        {name: partial(build, log) for name, build in PAYLOADS.items()}
+    )
+    _compare("analyses", payloads, cold, rel_tol)
 
 
 def _compare(path: str, ours: Any, cold: Any, rel_tol: float) -> None:
     if isinstance(cold, float) and isinstance(ours, (int, float)):
         ours = float(ours)
-        if math.isnan(cold) and math.isnan(ours):
-            return
-        if math.isclose(ours, cold, rel_tol=rel_tol, abs_tol=1e-12):
-            return
-        raise StoreCorruptError(
-            f"materialized analytics diverge from the cold kernels at "
-            f"{path}: {ours!r} != {cold!r}"
+        same = (math.isnan(cold) and math.isnan(ours)) or math.isclose(
+            ours, cold, rel_tol=rel_tol, abs_tol=1e-12
         )
-    if isinstance(cold, dict) and isinstance(ours, dict):
-        if set(cold) != set(ours):
-            raise StoreCorruptError(
-                f"materialized analytics diverge at {path}: keys "
-                f"{sorted(ours)} != {sorted(cold)}"
-            )
-        for key in cold:
-            _compare(f"{path}.{key}", ours[key], cold[key], rel_tol)
-        return
-    if isinstance(cold, (list, tuple)) and isinstance(ours, (list, tuple)):
-        if len(cold) != len(ours):
-            raise StoreCorruptError(
-                f"materialized analytics diverge at {path}: length "
-                f"{len(ours)} != {len(cold)}"
-            )
-        for index, (a, b) in enumerate(zip(ours, cold)):
-            _compare(f"{path}[{index}]", a, b, rel_tol)
-        return
-    if ours != cold:
+    elif isinstance(cold, dict) and isinstance(ours, dict):
+        same = sorted(ours) == sorted(cold)
+        if same:
+            for key in cold:
+                _compare(f"{path}.{key}", ours[key], cold[key], rel_tol)
+        else:  # report the keys, not the whole mappings
+            ours, cold = sorted(ours), sorted(cold)
+    elif isinstance(cold, (list, tuple)) and isinstance(ours, (list, tuple)):
+        same = len(ours) == len(cold)
+        if same:
+            for index, (a, b) in enumerate(zip(ours, cold)):
+                _compare(f"{path}[{index}]", a, b, rel_tol)
+    else:
+        same = ours == cold
+    if not same:
         raise StoreCorruptError(
             f"materialized analytics diverge from the cold kernels at "
             f"{path}: {ours!r} != {cold!r}"

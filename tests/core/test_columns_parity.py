@@ -1,5 +1,5 @@
-"""Parity suite: every vectorized kernel against its retained
-pure-Python ``_reference_*`` implementation.
+"""Parity suite: every vectorized kernel against its per-record
+oracle in ``tests/core/oracles.py``.
 
 Property-based over randomly built logs (hypothesis) plus the
 calibrated Tsubame logs, asserting results equal within 1e-9 so the
@@ -19,6 +19,7 @@ from repro.core.taxonomy import TSUBAME2_CATEGORIES, FailureClass
 from repro.errors import AnalysisError
 from repro.machines.racks import rack_layout_for
 from tests.conftest import T0, make_log
+from tests.core import oracles
 
 TOL = 1e-9
 
@@ -87,7 +88,7 @@ class TestMetricsParity:
     def test_tbf_series(self, log):
         _assert_close_lists(
             metrics.tbf_series_hours(log),
-            metrics._reference_tbf_series_hours(log),
+            oracles.tbf_series_hours(log),
         )
 
     @settings(max_examples=40, deadline=None)
@@ -95,18 +96,18 @@ class TestMetricsParity:
     def test_ttr_series(self, log):
         _assert_close_lists(
             metrics.ttr_series_hours(log),
-            metrics._reference_ttr_series_hours(log),
+            oracles.ttr_series_hours(log),
         )
 
     def test_series_on_calibrated_logs(self, t2_log, t3_log):
         for log in (t2_log, t3_log):
             _assert_close_lists(
                 metrics.tbf_series_hours(log),
-                metrics._reference_tbf_series_hours(log),
+                oracles.tbf_series_hours(log),
             )
             _assert_close_lists(
                 metrics.ttr_series_hours(log),
-                metrics._reference_ttr_series_hours(log),
+                oracles.ttr_series_hours(log),
             )
 
 
@@ -115,7 +116,7 @@ class TestTemporalParity:
     @given(log=failure_logs(min_size=6))
     def test_tbf_by_category(self, log):
         try:
-            expected = temporal._reference_tbf_by_category(log)
+            expected = oracles.tbf_by_category(log)
         except AnalysisError:
             with pytest.raises(AnalysisError):
                 temporal.tbf_by_category(log)
@@ -131,7 +132,7 @@ class TestTemporalParity:
 
     def test_tbf_by_category_calibrated(self, t2_log):
         actual = temporal.tbf_by_category(t2_log)
-        expected = temporal._reference_tbf_by_category(t2_log)
+        expected = oracles.tbf_by_category(t2_log)
         assert [e.category for e in actual] == [
             e.category for e in expected
         ]
@@ -142,7 +143,7 @@ class TestSpatialParity:
     @given(log=failure_logs())
     def test_node_failure_distribution(self, log):
         actual = spatial.node_failure_distribution(log)
-        expected = spatial._reference_node_failure_distribution(log)
+        expected = oracles.node_failure_distribution(log)
         assert actual.counts_per_node == expected.counts_per_node
         assert actual.histogram == expected.histogram
 
@@ -151,7 +152,7 @@ class TestSpatialParity:
     def test_repeat_failure_class_split(self, log):
         assert spatial.repeat_failure_class_split(
             log
-        ) == spatial._reference_repeat_failure_class_split(log)
+        ) == oracles.repeat_failure_class_split(log)
 
     @settings(max_examples=40, deadline=None)
     @given(log=failure_logs())
@@ -159,14 +160,14 @@ class TestSpatialParity:
         slots = (0, 1, 2)
         assert spatial.gpu_slot_distribution(
             log, slots
-        ) == spatial._reference_gpu_slot_distribution(log, slots)
+        ) == oracles.gpu_slot_distribution(log, slots)
 
     def test_rack_failure_distribution_calibrated(self, t2_log, t3_log):
         for log in (t2_log, t3_log):
             layout = rack_layout_for(log.machine)
             assert spatial.rack_failure_distribution(
                 log, layout
-            ) == spatial._reference_rack_failure_distribution(log, layout)
+            ) == oracles.rack_failure_distribution(log, layout)
 
 
 class TestSeasonalParity:
@@ -174,7 +175,7 @@ class TestSeasonalParity:
     @given(log=failure_logs())
     def test_monthly_ttr(self, log):
         actual = seasonal.monthly_ttr(log)
-        expected = seasonal._reference_monthly_ttr(log)
+        expected = oracles.monthly_ttr(log)
         assert sorted(actual.summaries) == sorted(expected.summaries)
         for month, summary in expected.summaries.items():
             assert actual.summaries[month].as_row() == pytest.approx(
@@ -186,21 +187,21 @@ class TestSeasonalParity:
     def test_monthly_failure_counts(self, log):
         assert seasonal.monthly_failure_counts(
             log
-        ).counts == seasonal._reference_monthly_failure_counts(log).counts
+        ).counts == oracles.monthly_failure_counts(log).counts
 
     @settings(max_examples=40, deadline=None)
     @given(log=failure_logs())
     def test_weekday_profile(self, log):
         assert seasonal.weekday_profile(
             log
-        ) == seasonal._reference_weekday_profile(log)
+        ) == oracles.weekday_profile(log)
 
     @settings(max_examples=40, deadline=None)
     @given(log=failure_logs())
     def test_hour_of_day_profile(self, log):
         assert seasonal.hour_of_day_profile(
             log
-        ) == seasonal._reference_hour_of_day_profile(log)
+        ) == oracles.hour_of_day_profile(log)
 
 
 class TestMultiGpuParity:
@@ -209,13 +210,13 @@ class TestMultiGpuParity:
     def test_multi_gpu_involvement(self, log):
         assert multigpu.multi_gpu_involvement(
             log, 3
-        ) == multigpu._reference_multi_gpu_involvement(log, 3)
+        ) == oracles.multi_gpu_involvement(log, 3)
 
     @settings(max_examples=40, deadline=None)
     @given(log=failure_logs(min_size=4))
     def test_multi_gpu_clustering(self, log):
         try:
-            expected = multigpu._reference_multi_gpu_clustering(log)
+            expected = oracles.multi_gpu_clustering(log)
         except AnalysisError:
             with pytest.raises(AnalysisError):
                 multigpu.multi_gpu_clustering(log)
@@ -236,7 +237,7 @@ class TestMultiGpuParity:
 
     def test_clustering_calibrated(self, t2_log):
         actual = multigpu.multi_gpu_clustering(t2_log)
-        expected = multigpu._reference_multi_gpu_clustering(t2_log)
+        expected = oracles.multi_gpu_clustering(t2_log)
         _assert_close_lists(
             actual.gaps_after_multi, expected.gaps_after_multi
         )

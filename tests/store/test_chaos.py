@@ -17,7 +17,7 @@ import pytest
 from repro.errors import StoreCorruptError
 from repro.store import open_store
 from repro.store.manifest import MANIFEST_NAME, PREV_MANIFEST_NAME
-from repro.store.views import verify_parity
+from repro.store.views import _checksum, verify_parity
 from repro.testing import flip_byte, truncate_file
 from tests.store.conftest import assert_log_roundtrip, sub_log
 
@@ -156,6 +156,27 @@ class TestViewsCorruption:
         expected = json.dumps(store.payloads(), sort_keys=True)
         (path / "views.json").write_text('{"token": "store-x"}')
         reopened = open_store(path)
+        assert json.dumps(reopened.payloads(), sort_keys=True) == expected
+        verify_parity(reopened.payloads(), reopened.log())
+
+    @pytest.mark.parametrize(
+        "edit", ["count", "node_counts_list", "resigned_node_counts_list"]
+    )
+    def test_edited_views_never_serve_bad_analytics(self, stored, edit):
+        """A views.json edited under an intact token is rebuilt: a
+        checksum mismatch or a malformed state is never loaded."""
+        path, store = stored
+        expected = json.dumps(store.payloads(), sort_keys=True)
+        saved = json.loads((path / "views.json").read_bytes())
+        state = saved["state"]
+        if edit == "count":
+            state["category_counts"]["Software"] += 7
+        else:
+            state["node_counts"] = list(state["node_counts"].values())
+        if edit.startswith("resigned"):
+            saved["sha256"] = _checksum(json.dumps(state).encode())
+        (path / "views.json").write_text(json.dumps(saved))
+        reopened = open_store(path, verify=True)
         assert json.dumps(reopened.payloads(), sort_keys=True) == expected
         verify_parity(reopened.payloads(), reopened.log())
 

@@ -10,8 +10,12 @@ from repro.errors import StoreCorruptError
 from repro.store import init_store, open_store
 from repro.store.manifest import manifest_fingerprint
 from repro.store.segments import datetimes_to_us
-from repro.store.views import VIEWS_NAME, StoreViews, verify_parity
-from repro.store.writer import batch_columns
+from repro.store.views import (
+    VIEWS_NAME,
+    StoreViews,
+    _checksum,
+    verify_parity,
+)
 from tests.store.conftest import split_log, sub_log
 
 
@@ -43,7 +47,7 @@ class TestIncrementalParity:
         for parts in (1, 3, 7):
             views = StoreViews(t3_small.machine, start_us)
             for batch in split_log(t3_small, parts):
-                views.absorb(*batch_columns(batch))
+                views.absorb(batch.columns)
             rendered.append(_payload_json(views, end_us))
         assert rendered[0] == rendered[1] == rendered[2]
 
@@ -52,8 +56,12 @@ class TestIncrementalParity:
         payloads = store.payloads()
         payloads["breakdown"] = dict(payloads["breakdown"])
         payloads["breakdown"]["failures"] += 1
-        with pytest.raises(StoreCorruptError, match="diverge"):
-            verify_parity(payloads, store.log())
+        # A dropped analysis diverges too.
+        dropped = store.payloads()
+        del dropped["multigpu"]
+        for diverged in (payloads, dropped):
+            with pytest.raises(StoreCorruptError, match="diverge"):
+                verify_parity(diverged, store.log())
 
 
 class TestStateRoundTrip:
@@ -109,10 +117,14 @@ class TestPersistence:
     def test_version_mismatch_means_rebuild(self, stored):
         path, store = stored
         token = manifest_fingerprint(store.manifest)
-        saved = json.loads((path / VIEWS_NAME).read_bytes())
-        saved["state"]["version"] = 999
-        (path / VIEWS_NAME).write_text(json.dumps(saved))
-        assert StoreViews.load(path, token) is None
+        # 1 is the layout before the dead calendar tallies were dropped.
+        for version in (999, 1):
+            saved = json.loads((path / VIEWS_NAME).read_bytes())
+            saved["state"]["version"] = version
+            # Re-sign, so the version check alone refuses the file.
+            saved["sha256"] = _checksum(json.dumps(saved["state"]).encode())
+            (path / VIEWS_NAME).write_text(json.dumps(saved))
+            assert StoreViews.load(path, token) is None
 
     def test_rebuild_equals_incremental_state(self, stored):
         """The open-time rebuild path reproduces the append-time state
