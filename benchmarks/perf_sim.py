@@ -14,7 +14,13 @@ where multi-GPU failures take the injector's sequential
 topology-affinity slot pick; it records the multi-GPU failure count
 beside events per second, and carries the tier's measurement from
 before the bus-mate table (when every pick walked the topology graph)
-as a frozen ``before`` block.
+as a frozen ``before`` block, and the tier's measurement before the
+columnar cluster, tuple repair bookkeeping and unrolled slot draw as a
+frozen ``before_columnar`` block.  Its ``parity_ok`` records that the
+run, repeated with the object-per-node cluster of
+``tests/sim/oracles.py`` and the ``choice(p=)`` slot draw of
+``tests/synth/oracles.py`` patched in, gives an equal report and
+injected log.
 
 It then benchmarks :func:`repro.sim.montecarlo.run_replications`:
 replications per second serially and across workers, asserting the
@@ -36,16 +42,23 @@ from __future__ import annotations
 import json
 import os
 import platform
+import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
 from repro.parallel import available_cpus
+from repro.sim import simulator as simulator_module
 from repro.sim.montecarlo import run_replications
 from repro.sim.simulator import ClusterSimulator
+from repro.synth import involvement
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO_ROOT))
+from tests.sim.oracles import NodeObjectCluster  # noqa: E402
+from tests.synth.oracles import weighted_sample_choice  # noqa: E402
 REPORT_PATH = REPO_ROOT / "BENCH_sim.json"
 
 BENCH_SEED = 42
@@ -103,6 +116,25 @@ A100_BEFORE = {
     "wall_s": 0.021069905000331346,
     "events": 2962,
     "events_per_s": 140579.65614716438,
+    "failures": 1425,
+    "multi_gpu_failures": 62,
+}
+
+
+#: The ``a100_1x`` tier as last measured with one ``Node`` object per
+#: node, a ``_PendingRepair`` object per repair, a frozen-dataclass
+#: ``DowntimeInterval`` and a ``Generator.choice(p=)`` call per slot
+#: draw.  Frozen; never re-measured.
+A100_BEFORE_COLUMNAR = {
+    "note": (
+        "object-per-node cluster and choice(p=) slot draws: this tier "
+        "of the previous perf_sim.py, median of five runs alternating "
+        "with the columnar version's, measured once on 2 CPUs (Python "
+        "3.11.7, NumPy 2.4.6); not re-measured"
+    ),
+    "wall_s": 0.02130025599944929,
+    "events": 2962,
+    "events_per_s": 139059.3615436632,
     "failures": 1425,
     "multi_gpu_failures": 62,
 }
@@ -173,14 +205,46 @@ def _bench_scale(factor: int) -> dict:
     }
 
 
+def _logged_run():
+    """The a100 tier's run keeping the injected log: (report, log)."""
+    simulator = ClusterSimulator(MULTI_GPU_MACHINE, seed=BENCH_SEED)
+    report = simulator.run(HORIZON_HOURS)
+    return report, simulator.injected_log()
+
+
+def _oracle_run():
+    """:func:`_logged_run` with the object-per-node cluster and the
+    ``choice(p=)`` slot draw patched in; also returns how many slot
+    draws and clusters the oracles made, so a patch that missed its
+    target cannot pass for parity."""
+    draws = 0
+    clusters = []
+
+    def draw(*args):
+        nonlocal draws
+        draws += 1
+        return weighted_sample_choice(*args)
+
+    def cluster(spec):
+        clusters.append(NodeObjectCluster(spec))
+        return clusters[-1]
+
+    with mock.patch.object(simulator_module, "Cluster", cluster), \
+            mock.patch.object(
+                involvement, "weighted_sample_without_replacement", draw
+            ):
+        result = _logged_run()
+    return result, draws, len(clusters)
+
+
 def _bench_multi_gpu() -> dict:
     wall_s, (events, report) = _best_of(
         lambda: _run_once(1.0, MULTI_GPU_MACHINE)
     )
     # Same seed, so the same failures; counted on an untimed run that
     # keeps the injected log.
-    simulator = ClusterSimulator(MULTI_GPU_MACHINE, seed=BENCH_SEED)
-    simulator.run(HORIZON_HOURS)
+    logged = _logged_run()
+    oracle, oracle_draws, oracle_clusters = _oracle_run()
     return {
         "machine": MULTI_GPU_MACHINE,
         "intensity": 1.0,
@@ -190,10 +254,14 @@ def _bench_multi_gpu() -> dict:
         "events_per_s": events / wall_s if wall_s else 0.0,
         "failures": report.failures_injected,
         "multi_gpu_failures": sum(
-            1 for record in simulator.injected_log()
+            1 for record in logged[1]
             if record.num_gpus_involved > 1
         ),
+        "parity_ok": (
+            oracle_draws > 0 and oracle_clusters == 1 and oracle == logged
+        ),
         "before": A100_BEFORE,
+        "before_columnar": A100_BEFORE_COLUMNAR,
     }
 
 
@@ -289,8 +357,10 @@ def main() -> None:
     tier = results["a100_1x"]
     print(
         f"a100 1x: {tier['events_per_s']:,.0f} events/s, "
-        f"{tier['multi_gpu_failures']} multi-GPU failures; before the "
-        f"bus-mate table {tier['before']['events_per_s']:,.0f} events/s"
+        f"{tier['multi_gpu_failures']} multi-GPU failures, "
+        f"parity={tier['parity_ok']}; before the columnar cluster "
+        f"{tier['before_columnar']['events_per_s']:,.0f} events/s, before "
+        f"the bus-mate table {tier['before']['events_per_s']:,.0f} events/s"
     )
     ensemble = results["ensemble"]
     print(

@@ -5,8 +5,10 @@ Runs the full :mod:`perf_sim` benchmark (1x/10x/100x failure
 intensity, the ``a100_1x`` multi-GPU tier and the replication
 ensemble), writes ``BENCH_sim.json``, and asserts the invariants that
 must never regress: every tier simulates events at a positive rate,
-the A100 tier injects multi-GPU failures, its ``before`` block stays
-frozen, and the parallel ensemble is bit-identical to the serial one.
+the A100 tier injects multi-GPU failures and matches its run with the
+object-per-node cluster and ``choice(p=)`` slot draw oracles patched
+in, its ``before`` and ``before_columnar`` blocks stay frozen, and the
+parallel ensemble is bit-identical to the serial one.
 
 Parity is asserted on every host.  The replication-scaling criterion
 (>2x with 4 workers) is asserted only when the machine actually has
@@ -56,10 +58,22 @@ def test_multi_gpu_tier_recorded(results):
     assert tier["multi_gpu_failures"] > 0
 
 
+def test_multi_gpu_tier_matches_oracles(results):
+    assert results["a100_1x"]["parity_ok"] is True
+
+
 def test_multi_gpu_before_block_is_frozen(results):
     before = results["a100_1x"]["before"]
     assert before == perf_sim.A100_BEFORE
     assert "not re-measured" in before["note"]
+
+
+def test_multi_gpu_before_columnar_block_is_frozen(results):
+    before = results["a100_1x"]["before_columnar"]
+    assert before == perf_sim.A100_BEFORE_COLUMNAR
+    assert "not re-measured" in before["note"]
+    assert before["events"] == results["a100_1x"]["events"]
+    assert before["failures"] == results["a100_1x"]["failures"]
 
 
 def test_ensemble_parity_serial_vs_parallel(results):

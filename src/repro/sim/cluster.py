@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,9 +28,18 @@ class NodeState(enum.Enum):
     REPAIRING = "repairing"
 
 
-@dataclass(frozen=True)
-class DowntimeInterval:
+# Module-level aliases: an enum member lookup costs ~0.1 µs, paid on
+# every state check of the per-failure transitions.
+_HEALTHY = NodeState.HEALTHY
+_FAILED = NodeState.FAILED
+_REPAIRING = NodeState.REPAIRING
+
+
+class DowntimeInterval(NamedTuple):
     """One completed outage of a node.
+
+    A ``typing.NamedTuple``: immutable, compared and hashed as a plain
+    tuple of its fields, and built once per completed repair.
 
     ``waiting_hours`` is time between failure and repair start (queue
     for a technician / spare part); ``repair_hours`` is hands-on time.
@@ -57,7 +67,7 @@ class DowntimeInterval:
 
 @dataclass
 class Node:
-    """Mutable health of one node."""
+    """Health of one node, as :meth:`Cluster.node` reports it."""
 
     node_id: int
     num_gpus: int
@@ -73,25 +83,35 @@ class Node:
 
 
 class Cluster:
-    """The fleet of nodes plus the outage history."""
+    """The fleet of nodes plus the outage history.
+
+    Node state lives in columns indexed by node id (state, outage
+    category, failure and repair-start times), plus the failed GPU
+    slots of only the nodes that have some, so a replication builds no
+    per-node object.
+    """
 
     def __init__(self, spec: MachineSpec) -> None:
         self._spec = spec
-        self._nodes = [
-            Node(node_id=index, num_gpus=spec.gpus_per_node)
-            for index in range(spec.num_nodes)
-        ]
+        num_nodes = spec.num_nodes
+        self._num_nodes = num_nodes
+        self._num_gpus = spec.gpus_per_node
+        self._state: list[NodeState] = [_HEALTHY] * num_nodes
+        self._category: list[str | None] = [None] * num_nodes
+        self._failed_at: list[float | None] = [None] * num_nodes
+        self._repair_started_at: list[float | None] = [None] * num_nodes
+        self._failed_gpus: dict[int, set[int]] = {}
         self._history: list[DowntimeInterval] = []
         # Swap-remove index of healthy node ids: O(1) membership
         # updates on fail/repair and O(1) uniform sampling, so the
         # fault injector never scans the fleet per event.  The list
         # order is arbitrary but evolves deterministically with the
         # event history.
-        self._available: list[int] = list(range(spec.num_nodes))
-        self._available_slot: list[int] = list(range(spec.num_nodes))
+        self._available: list[int] = list(range(num_nodes))
+        self._available_slot: list[int] = list(range(num_nodes))
         # The same health set as a mask in node-id order, so picking
         # the lowest-numbered healthy nodes is one scan in C.
-        self._up = np.ones(spec.num_nodes, dtype=bool)
+        self._up = np.ones(num_nodes, dtype=bool)
 
     @property
     def spec(self) -> MachineSpec:
@@ -99,24 +119,44 @@ class Cluster:
 
     @property
     def num_nodes(self) -> int:
-        return len(self._nodes)
+        return self._num_nodes
 
     @property
     def history(self) -> tuple[DowntimeInterval, ...]:
         """Completed outages, in completion order."""
         return tuple(self._history)
 
+    @property
+    def repairs_completed(self) -> int:
+        """Count of completed outages (the length of :attr:`history`)."""
+        return len(self._history)
+
+    def _check_node(self, node_id: int) -> None:
+        if not 0 <= node_id < self._num_nodes:
+            raise SimulationError(
+                f"node id {node_id} out of range [0, {self._num_nodes})"
+            )
+
     def node(self, node_id: int) -> Node:
-        """Return one node's state.
+        """Return a snapshot of one node's state.
+
+        The :class:`Node` is built on each call from the cluster's
+        columns: it does not follow later transitions, and changing it
+        does not change the cluster.
 
         Raises:
             SimulationError: On an out-of-range id.
         """
-        if not 0 <= node_id < len(self._nodes):
-            raise SimulationError(
-                f"node id {node_id} out of range [0, {len(self._nodes)})"
-            )
-        return self._nodes[node_id]
+        self._check_node(node_id)
+        return Node(
+            node_id=node_id,
+            num_gpus=self._num_gpus,
+            state=self._state[node_id],
+            failed_gpus=set(self._failed_gpus.get(node_id, ())),
+            current_category=self._category[node_id],
+            failed_at=self._failed_at[node_id],
+            repair_started_at=self._repair_started_at[node_id],
+        )
 
     def available_nodes(self, limit: int | None = None) -> list[int]:
         """Ids of nodes currently healthy, in ascending order.
@@ -155,20 +195,6 @@ class Cluster:
             )
         return self._available[index]
 
-    def _mark_unavailable(self, node_id: int) -> None:
-        slot = self._available_slot[node_id]
-        last = self._available[-1]
-        self._available[slot] = last
-        self._available_slot[last] = slot
-        self._available.pop()
-        self._available_slot[node_id] = -1
-        self._up[node_id] = False
-
-    def _mark_available(self, node_id: int) -> None:
-        self._available_slot[node_id] = len(self._available)
-        self._available.append(node_id)
-        self._up[node_id] = True
-
     # -- state transitions -------------------------------------------------
 
     def fail(
@@ -189,70 +215,93 @@ class Cluster:
             that needs a repair), False if the failure was absorbed.
 
         Raises:
-            SimulationError: On invalid GPU slots; the node is left
-                unchanged.
+            SimulationError: On an out-of-range id or invalid GPU
+                slots; the node is left unchanged.
         """
-        node = self.node(node_id)
-        for slot in gpus_involved:
-            if not 0 <= slot < node.num_gpus:
-                raise SimulationError(
-                    f"GPU slot {slot} out of range on node {node_id}"
-                )
-        node.failed_gpus.update(gpus_involved)
-        if node.state is not NodeState.HEALTHY:
+        self._check_node(node_id)
+        if gpus_involved:
+            num_gpus = self._num_gpus
+            for slot in gpus_involved:
+                if not 0 <= slot < num_gpus:
+                    raise SimulationError(
+                        f"GPU slot {slot} out of range on node {node_id}"
+                    )
+            failed_gpus = self._failed_gpus.get(node_id)
+            if failed_gpus is None:
+                self._failed_gpus[node_id] = set(gpus_involved)
+            else:
+                failed_gpus.update(gpus_involved)
+        if self._state[node_id] is not _HEALTHY:
             return False
-        node.state = NodeState.FAILED
-        node.current_category = category
-        node.failed_at = time
-        node.repair_started_at = None
-        self._mark_unavailable(node_id)
+        self._state[node_id] = _FAILED
+        self._category[node_id] = category
+        self._failed_at[node_id] = time
+        self._repair_started_at[node_id] = None
+        # Swap-remove the node from the healthy index.
+        available = self._available
+        available_slot = self._available_slot
+        slot = available_slot[node_id]
+        last = available.pop()
+        if last != node_id:
+            available[slot] = last
+            available_slot[last] = slot
+        available_slot[node_id] = -1
+        self._up[node_id] = False
         return True
 
     def start_repair(self, node_id: int, time: float) -> None:
         """Mark a technician as having started on a failed node.
 
         Raises:
-            SimulationError: If the node is not in the FAILED state.
+            SimulationError: On an out-of-range id, or if the node is
+                not in the FAILED state.
         """
-        node = self.node(node_id)
-        if node.state is not NodeState.FAILED:
+        self._check_node(node_id)
+        state = self._state[node_id]
+        if state is not _FAILED:
             raise SimulationError(
                 f"cannot start repair on node {node_id} in state "
-                f"{node.state.value}"
+                f"{state.value}"
             )
-        node.state = NodeState.REPAIRING
-        node.repair_started_at = time
+        self._state[node_id] = _REPAIRING
+        self._repair_started_at[node_id] = time
 
     def complete_repair(self, node_id: int, time: float) -> DowntimeInterval:
         """Return a repaired node to service and log the outage.
 
         Raises:
-            SimulationError: If the node is not being repaired.
+            SimulationError: On an out-of-range id, or if the node is
+                not being repaired.
         """
-        node = self.node(node_id)
-        if node.state is not NodeState.REPAIRING:
+        self._check_node(node_id)
+        state = self._state[node_id]
+        if state is not _REPAIRING:
             raise SimulationError(
                 f"cannot complete repair on node {node_id} in state "
-                f"{node.state.value}"
+                f"{state.value}"
             )
-        if node.failed_at is None or node.repair_started_at is None:
+        failed_at = self._failed_at[node_id]
+        repair_started_at = self._repair_started_at[node_id]
+        if failed_at is None or repair_started_at is None:
             raise SimulationError(
                 f"node {node_id} has inconsistent repair bookkeeping"
             )
         interval = DowntimeInterval(
-            node_id=node_id,
-            category=node.current_category or "unknown",
-            failed_at=node.failed_at,
-            repair_started_at=node.repair_started_at,
-            repaired_at=time,
+            node_id,
+            self._category[node_id] or "unknown",
+            failed_at,
+            repair_started_at,
+            time,
         )
         self._history.append(interval)
-        node.state = NodeState.HEALTHY
-        node.failed_gpus.clear()
-        node.current_category = None
-        node.failed_at = None
-        node.repair_started_at = None
-        self._mark_available(node_id)
+        self._state[node_id] = _HEALTHY
+        self._failed_gpus.pop(node_id, None)
+        self._category[node_id] = None
+        self._failed_at[node_id] = None
+        self._repair_started_at[node_id] = None
+        self._available_slot[node_id] = len(self._available)
+        self._available.append(node_id)
+        self._up[node_id] = True
         return interval
 
     # -- aggregate metrics ---------------------------------------------------

@@ -138,11 +138,13 @@ class SimulationEngine:
             SimulationError: If the delay is negative or non-finite
                 (see :meth:`schedule_at` for why NaN/inf are rejected).
         """
-        if not math.isfinite(delay):
-            raise SimulationError(
-                f"delay must be finite, got {delay!r}"
-            )
-        if delay < 0:
+        if not 0.0 <= delay < math.inf:
+            # One chained comparison on the hot path (NaN fails it
+            # too); name the failed check only on the way out.
+            if not math.isfinite(delay):
+                raise SimulationError(
+                    f"delay must be finite, got {delay!r}"
+                )
             raise SimulationError(f"delay must be >= 0, got {delay}")
         # Inlined schedule_at: now and delay are finite and delay >= 0,
         # so the absolute time passes both of its checks by

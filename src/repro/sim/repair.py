@@ -14,6 +14,7 @@ cutting the waiting component of the effective MTTR.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -45,9 +46,9 @@ class RepairPolicy:
             raise ValidationError(
                 f"num_technicians must be >= 1, got {self.num_technicians}"
             )
-        if self.spare_lead_time_hours < 0:
+        if not 0 <= self.spare_lead_time_hours < math.inf:
             raise ValidationError(
-                f"spare_lead_time_hours must be >= 0, got "
+                f"spare_lead_time_hours must be finite and >= 0, got "
                 f"{self.spare_lead_time_hours}"
             )
 
@@ -96,15 +97,6 @@ class SparePool:
         self._stock[category] = self._stock.get(category, 0) + count
 
 
-@dataclass
-class _PendingRepair:
-    node_id: int
-    category: str
-    duration_hours: float
-    needs_spare: bool
-    has_spare: bool = False
-
-
 class RepairService:
     """Dispatches technicians and spares to failed nodes.
 
@@ -127,8 +119,9 @@ class RepairService:
         self._policy = policy
         self._spares = spares
         self._busy_technicians = 0
-        self._queue: deque[_PendingRepair] = deque()
-        self._waiting_for_spare: list[_PendingRepair] = []
+        # A repair is a (node_id, category, hands-on hours) tuple.
+        self._queue: deque[tuple[int, str, float]] = deque()
+        self._waiting_for_spare: list[tuple[int, str, float]] = []
         self._completed = 0
         self._on_repair_start = engine.subscribers("repair_start")
         self._on_node_repaired = engine.subscribers("node_repaired")
@@ -155,21 +148,21 @@ class RepairService:
         """Enqueue a repair for a node that just failed.
 
         Raises:
-            SimulationError: On a non-positive duration.
+            SimulationError: On a non-positive or non-finite duration;
+                nothing is taken or queued.
         """
-        if duration_hours <= 0:
+        if not 0 < duration_hours < math.inf:
+            if duration_hours <= 0:
+                raise SimulationError(
+                    f"repair duration must be positive, got "
+                    f"{duration_hours}"
+                )
             raise SimulationError(
-                f"repair duration must be positive, got {duration_hours}"
+                f"repair duration must be finite, got {duration_hours!r}"
             )
-        pending = _PendingRepair(
-            node_id=node_id,
-            category=category,
-            duration_hours=duration_hours,
-            needs_spare=category in self._policy.hardware_categories,
-        )
-        if pending.needs_spare:
+        pending = (node_id, category, duration_hours)
+        if category in self._policy.hardware_categories:
             if self._spares.try_take(category):
-                pending.has_spare = True
                 self._order_replacement(category)
             else:
                 # Back-order: part arrives after the lead time, then
@@ -195,30 +188,26 @@ class RepairService:
             lambda: self._spares.restock(category),
         )
 
-    def _spare_arrived(self, pending: _PendingRepair) -> None:
+    def _spare_arrived(self, pending: tuple[int, str, float]) -> None:
         self._waiting_for_spare.remove(pending)
-        pending.has_spare = True
         self._queue.append(pending)
         self._dispatch()
 
     def _dispatch(self) -> None:
-        while (
-            self._queue
-            and self._busy_technicians < self._policy.num_technicians
-        ):
-            pending = self._queue.popleft()
+        queue = self._queue
+        while queue and self._busy_technicians < self._policy.num_technicians:
+            node_id, category, duration_hours = queue.popleft()
             self._busy_technicians += 1
             now = self._engine.now
-            self._cluster.start_repair(pending.node_id, now)
+            self._cluster.start_repair(node_id, now)
             for callback in self._on_repair_start:
-                callback(pending.node_id, pending.category, now)
+                callback(node_id, category, now)
             self._engine.schedule_in(
-                pending.duration_hours,
-                lambda p=pending: self._complete(p),
+                duration_hours,
+                lambda n=node_id, c=category: self._complete(n, c),
             )
 
-    def _complete(self, pending: _PendingRepair) -> None:
-        node_id = pending.node_id
+    def _complete(self, node_id: int, category: str) -> None:
         now = self._engine.now
         self._cluster.complete_repair(node_id, now)
         self._busy_technicians -= 1
@@ -227,4 +216,4 @@ class RepairService:
         for callback in self._on_node_repaired:
             callback(node_id)
         for callback in self._on_repair:
-            callback(node_id, pending.category, now)
+            callback(node_id, category, now)

@@ -6,7 +6,10 @@ so that a seeded trace is bit-for-bit reproducible.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from collections.abc import Mapping, Sequence
+from itertools import accumulate
 
 import numpy as np
 
@@ -71,11 +74,18 @@ def weighted_sample_without_replacement(
     """Draw ``k`` distinct items with probability proportional to weight.
 
     Sequential weighted draws (the "exponential sort" would also work;
-    this explicit loop keeps the weight semantics obvious).
+    this explicit loop keeps the weight semantics obvious).  Each draw
+    is NumPy's own ``Generator.choice(p=)`` algorithm, unrolled: the
+    CDF of ``weight / total`` divided by its last entry, then one
+    ``rng.random()`` uniform and a right-sided binary search.  That is
+    the same uniform, the same index and the same generator state
+    afterwards, without re-validating ``p`` per draw.
 
     Raises:
         ValidationError: If k exceeds the population or weights are
             invalid.
+        ValueError: If the weights left in the pool sum to NaN or
+            infinity, as ``choice`` would.
     """
     if k < 0:
         raise ValidationError(f"k must be non-negative, got {k}")
@@ -98,9 +108,15 @@ def weighted_sample_without_replacement(
         if total <= 0:
             # All remaining weights are zero; fall back to uniform.
             index = int(rng.integers(len(pool)))
+        elif total < math.inf:
+            cdf = list(accumulate([w / total for w in pool_weights]))
+            last = cdf[-1]
+            cdf = [value / last for value in cdf]
+            index = bisect_right(cdf, rng.random())
         else:
-            probabilities = [w / total for w in pool_weights]
-            index = int(rng.choice(len(pool), p=probabilities))
+            raise ValueError(
+                f"weights must have a finite total, got {total}"
+            )
         chosen.append(pool.pop(index))
         pool_weights.pop(index)
     return chosen

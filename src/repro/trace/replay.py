@@ -277,17 +277,17 @@ class ReplaySimulator:
             self.training.start()
         self.injector.start()
         self.engine.run_until(horizon_hours)
-        history = self.cluster.history
+        repairs = self.cluster.repairs_completed
         return SimulationReport(
             machine=self._spec.name,
             horizon_hours=horizon_hours,
             failures_injected=self.injector.injected_count,
-            repairs_completed=len(history),
+            repairs_completed=repairs,
             effective_mttr_hours=(
-                self.cluster.effective_mttr_hours() if history else 0.0
+                self.cluster.effective_mttr_hours() if repairs else 0.0
             ),
             mean_waiting_hours=(
-                self.cluster.mean_waiting_hours() if history else 0.0
+                self.cluster.mean_waiting_hours() if repairs else 0.0
             ),
             availability=self.cluster.availability(horizon_hours),
             spare_stockouts=self.spares.stockouts,

@@ -8,8 +8,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.errors import SimulationError
+from repro.machines.specs import MachineSpec
 from repro.sim.checkpoint import CheckpointPolicy
-from repro.sim.cluster import Cluster
+from repro.sim.cluster import Cluster, DowntimeInterval, Node, NodeState
 from repro.sim.engine import SimulationEngine
 from repro.sim.jobs import Job, JobState, WorkloadConfig
 from repro.sim.scheduler import SchedulerStats
@@ -220,3 +222,162 @@ class FullFreeListScheduler:
         self.stats.jobs_completed += 1
         if job.start_time is not None:
             self.stats.total_wait_hours += job.waited_hours
+
+
+class NodeObjectCluster:
+    """:class:`repro.sim.cluster.Cluster` as it was with one mutable
+    :class:`Node` per node, kept up to date in place, and a NumPy bool
+    mask of healthy nodes.
+
+    Same constructor, transitions, checks and their order, healthy-node
+    index, history and aggregates; ``node()`` returns the live node
+    object rather than a snapshot.
+    """
+
+    def __init__(self, spec: MachineSpec) -> None:
+        self._spec = spec
+        self._nodes = [
+            Node(node_id=index, num_gpus=spec.gpus_per_node)
+            for index in range(spec.num_nodes)
+        ]
+        self._history: list[DowntimeInterval] = []
+        self._available: list[int] = list(range(spec.num_nodes))
+        self._available_slot: list[int] = list(range(spec.num_nodes))
+        self._up = np.ones(spec.num_nodes, dtype=bool)
+
+    @property
+    def spec(self) -> MachineSpec:
+        return self._spec
+
+    @property
+    def num_nodes(self) -> int:
+        return len(self._nodes)
+
+    @property
+    def history(self) -> tuple[DowntimeInterval, ...]:
+        return tuple(self._history)
+
+    @property
+    def repairs_completed(self) -> int:
+        return len(self._history)
+
+    def node(self, node_id: int) -> Node:
+        if not 0 <= node_id < len(self._nodes):
+            raise SimulationError(
+                f"node id {node_id} out of range [0, {len(self._nodes)})"
+            )
+        return self._nodes[node_id]
+
+    def available_nodes(self, limit: int | None = None) -> list[int]:
+        return np.flatnonzero(self._up)[:limit].tolist()
+
+    def is_available(self, node_id: int) -> bool:
+        return self._available_slot[node_id] >= 0
+
+    def num_available(self) -> int:
+        return len(self._available)
+
+    def available_at(self, index: int) -> int:
+        if not 0 <= index < len(self._available):
+            raise SimulationError(
+                f"available index {index} out of range "
+                f"[0, {len(self._available)})"
+            )
+        return self._available[index]
+
+    def _mark_unavailable(self, node_id: int) -> None:
+        slot = self._available_slot[node_id]
+        last = self._available[-1]
+        self._available[slot] = last
+        self._available_slot[last] = slot
+        self._available.pop()
+        self._available_slot[node_id] = -1
+        self._up[node_id] = False
+
+    def _mark_available(self, node_id: int) -> None:
+        self._available_slot[node_id] = len(self._available)
+        self._available.append(node_id)
+        self._up[node_id] = True
+
+    def fail(
+        self,
+        node_id: int,
+        category: str,
+        time: float,
+        gpus_involved: tuple[int, ...] = (),
+    ) -> bool:
+        node = self.node(node_id)
+        for slot in gpus_involved:
+            if not 0 <= slot < node.num_gpus:
+                raise SimulationError(
+                    f"GPU slot {slot} out of range on node {node_id}"
+                )
+        node.failed_gpus.update(gpus_involved)
+        if node.state is not NodeState.HEALTHY:
+            return False
+        node.state = NodeState.FAILED
+        node.current_category = category
+        node.failed_at = time
+        node.repair_started_at = None
+        self._mark_unavailable(node_id)
+        return True
+
+    def start_repair(self, node_id: int, time: float) -> None:
+        node = self.node(node_id)
+        if node.state is not NodeState.FAILED:
+            raise SimulationError(
+                f"cannot start repair on node {node_id} in state "
+                f"{node.state.value}"
+            )
+        node.state = NodeState.REPAIRING
+        node.repair_started_at = time
+
+    def complete_repair(self, node_id: int, time: float) -> DowntimeInterval:
+        node = self.node(node_id)
+        if node.state is not NodeState.REPAIRING:
+            raise SimulationError(
+                f"cannot complete repair on node {node_id} in state "
+                f"{node.state.value}"
+            )
+        if node.failed_at is None or node.repair_started_at is None:
+            raise SimulationError(
+                f"node {node_id} has inconsistent repair bookkeeping"
+            )
+        interval = DowntimeInterval(
+            node_id=node_id,
+            category=node.current_category or "unknown",
+            failed_at=node.failed_at,
+            repair_started_at=node.repair_started_at,
+            repaired_at=time,
+        )
+        self._history.append(interval)
+        node.state = NodeState.HEALTHY
+        node.failed_gpus.clear()
+        node.current_category = None
+        node.failed_at = None
+        node.repair_started_at = None
+        self._mark_available(node_id)
+        return interval
+
+    def total_downtime_hours(self) -> float:
+        return sum(i.total_hours for i in self._history)
+
+    def availability(self, horizon_hours: float) -> float:
+        if horizon_hours <= 0:
+            raise SimulationError(
+                f"horizon must be positive, got {horizon_hours}"
+            )
+        capacity = self.num_nodes * horizon_hours
+        return max(0.0, 1.0 - self.total_downtime_hours() / capacity)
+
+    def effective_mttr_hours(self) -> float:
+        if not self._history:
+            raise SimulationError("no completed repairs yet")
+        return sum(i.total_hours for i in self._history) / len(self._history)
+
+    def mean_waiting_hours(self) -> float:
+        if not self._history:
+            raise SimulationError("no completed repairs yet")
+        return sum(i.waiting_hours for i in self._history) / len(
+            self._history
+        )

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from repro.errors import SimulationError
 from repro.machines.specs import TSUBAME3
 from repro.sim.cluster import Cluster, NodeState
+from tests.sim.oracles import NodeObjectCluster
 
 
 @pytest.fixture()
@@ -209,3 +210,103 @@ class TestOrderedHealthMask:
                 if cluster.is_available(i)
             ] == expected
             assert cluster.num_available() == len(expected)
+
+
+def _outcome(call, *args):
+    """The return value, or the exception's type and message."""
+    try:
+        return call(*args)
+    except SimulationError as error:
+        return (type(error), str(error))
+
+
+def _aggregates(cluster, horizon):
+    return (
+        cluster.history,
+        cluster.repairs_completed,
+        cluster.num_available(),
+        cluster.available_nodes(),
+        [cluster.available_at(i) for i in range(cluster.num_available())],
+        cluster.total_downtime_hours(),
+        _outcome(cluster.availability, horizon),
+        _outcome(cluster.effective_mttr_hours),
+        _outcome(cluster.mean_waiting_hours),
+    )
+
+
+# In- and out-of-range node ids and GPU slots (TSUBAME3: 4 GPUs).
+_ANY_NODE = st.sampled_from(
+    [-1, 0, 1, 2, 7, TSUBAME3.num_nodes - 1, TSUBAME3.num_nodes]
+)
+_SLOTS = st.lists(st.integers(-1, TSUBAME3.gpus_per_node), max_size=3)
+_OPS = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("fail"), _ANY_NODE, st.sampled_from(["GPU", "Memory"]),
+            _SLOTS.map(tuple),
+        ),
+        st.tuples(st.just("start"), _ANY_NODE),
+        st.tuples(st.just("complete"), _ANY_NODE),
+        st.tuples(st.just("available_at"), st.integers(-2, 12)),
+        st.tuples(st.just("node"), _ANY_NODE),
+    ),
+    max_size=50,
+)
+
+
+class TestMatchesNodeObjectCluster:
+    """The columnar cluster against the object-per-node oracle."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(ops=_OPS, horizon=st.sampled_from([0.0, 1.0, 500.0]))
+    def test_same_results_errors_and_state(self, ops, horizon):
+        fast, slow = Cluster(TSUBAME3), NodeObjectCluster(TSUBAME3)
+        touched = {0}
+        for step, (action, *args) in enumerate(ops):
+            time = float(step)
+            if action == "fail":
+                node_id, category, gpus = args
+                name, call_args = "fail", (node_id, category, time, gpus)
+            elif action == "start":
+                name, call_args = "start_repair", (args[0], time)
+            elif action == "complete":
+                name, call_args = "complete_repair", (args[0], time)
+            else:
+                name, call_args = action, (args[0],)
+            assert _outcome(getattr(fast, name), *call_args) == _outcome(
+                getattr(slow, name), *call_args
+            )
+            if action != "available_at" and 0 <= args[0] < fast.num_nodes:
+                touched.add(args[0])
+            for node_id in touched:
+                assert fast.node(node_id) == slow.node(node_id)
+                assert fast.is_available(node_id) == slow.is_available(
+                    node_id
+                )
+            assert _aggregates(fast, horizon) == _aggregates(slow, horizon)
+
+    def test_node_returns_a_snapshot(self, cluster):
+        before = cluster.node(3)
+        cluster.fail(3, "GPU", time=1.0, gpus_involved=(1,))
+        assert before.state is NodeState.HEALTHY
+        assert before.failed_gpus == set()
+        after = cluster.node(3)
+        after.failed_gpus.add(2)
+        assert cluster.node(3).failed_gpus == {1}
+
+    def test_repairs_completed_counts_history(self, cluster):
+        assert cluster.repairs_completed == 0
+        cluster.fail(3, "GPU", time=1.0)
+        cluster.start_repair(3, time=2.0)
+        cluster.complete_repair(3, time=3.0)
+        assert cluster.repairs_completed == len(cluster.history) == 1
+
+    def test_out_of_range_transitions_rejected_unchanged(self, cluster):
+        for bad in (-1, cluster.num_nodes):
+            with pytest.raises(SimulationError, match="out of range"):
+                cluster.fail(bad, "GPU", time=1.0)
+            with pytest.raises(SimulationError, match="out of range"):
+                cluster.start_repair(bad, time=1.0)
+            with pytest.raises(SimulationError, match="out of range"):
+                cluster.complete_repair(bad, time=1.0)
+        assert cluster.num_available() == cluster.num_nodes

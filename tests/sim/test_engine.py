@@ -82,6 +82,22 @@ class TestNonFiniteTimes:
         with pytest.raises(SimulationError):
             SimulationEngine().schedule_in(float("inf"), lambda: None)
 
+    @pytest.mark.parametrize(
+        ("delay", "message"),
+        [
+            (float("nan"), "delay must be finite, got nan"),
+            (float("inf"), "delay must be finite, got inf"),
+            (float("-inf"), "delay must be finite, got -inf"),
+            (-1.0, "delay must be >= 0, got -1.0"),
+        ],
+    )
+    def test_schedule_in_names_the_failed_check(self, delay, message):
+        engine = SimulationEngine()
+        with pytest.raises(SimulationError) as caught:
+            engine.schedule_in(delay, lambda: None)
+        assert str(caught.value) == message
+        assert engine.pending == 0
+
     def test_nan_horizon_rejected(self):
         with pytest.raises(SimulationError):
             SimulationEngine().run_until(float("nan"))

@@ -1,5 +1,7 @@
 """Tests for the repair service (technicians + spares)."""
 
+import math
+
 import pytest
 
 from repro.errors import SimulationError, ValidationError
@@ -59,6 +61,11 @@ class TestRepairPolicy:
     def test_invalid_lead_time_rejected(self):
         with pytest.raises(ValidationError):
             RepairPolicy(spare_lead_time_hours=-1.0)
+
+    @pytest.mark.parametrize("lead_time", [math.nan, math.inf])
+    def test_non_finite_lead_time_rejected(self, lead_time):
+        with pytest.raises(ValidationError, match="finite"):
+            RepairPolicy(spare_lead_time_hours=lead_time)
 
 
 class TestRepairFlow:
@@ -140,3 +147,25 @@ class TestRepairFlow:
         cluster.fail(0, "GPU", time=0.0)
         with pytest.raises(SimulationError):
             service.submit(0, "GPU", duration_hours=0.0)
+
+    @pytest.mark.parametrize("duration", [math.nan, math.inf])
+    @pytest.mark.parametrize("category", ["GPU", "Software"])
+    def test_non_finite_duration_rejected_before_any_change(
+        self, duration, category
+    ):
+        engine, cluster, service, pool = _service(
+            technicians=1, spares={"GPU": 1}
+        )
+        cluster.fail(0, category, time=0.0)
+        with pytest.raises(SimulationError, match="finite"):
+            service.submit(0, category, duration_hours=duration)
+        assert cluster.node(0).state is NodeState.FAILED
+        assert service.queue_length == 0
+        assert service.waiting_for_spares == 0
+        assert pool.consumed == 0 and pool.level("GPU") == 1
+        assert engine.pending == 0
+        # The only technician is still free: the node can be repaired.
+        service.submit(0, category, duration_hours=2.0)
+        engine.run_until(5.0)
+        assert service.completed == 1
+        assert cluster.node(0).state is NodeState.HEALTHY

@@ -8,8 +8,46 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.errors import ValidationError
 from repro.machines.topology import NodeTopology
 from repro.synth.sampling import weighted_sample_without_replacement
+
+
+def weighted_sample_choice(
+    rng: np.random.Generator,
+    items,
+    weights,
+    k: int,
+) -> list[int]:
+    """:func:`repro.synth.sampling.weighted_sample_without_replacement`
+    drawing each item with ``rng.choice(p=)``, which validates and
+    normalizes ``p`` and builds its CDF on every call."""
+    if k < 0:
+        raise ValidationError(f"k must be non-negative, got {k}")
+    if k > len(items):
+        raise ValidationError(
+            f"cannot draw {k} distinct items from {len(items)}"
+        )
+    if len(items) != len(weights):
+        raise ValidationError(
+            f"items ({len(items)}) and weights ({len(weights)}) must have "
+            f"equal length"
+        )
+    if any(w < 0 for w in weights):
+        raise ValidationError("weights must be non-negative")
+    pool = list(items)
+    pool_weights = [float(w) for w in weights]
+    chosen: list[int] = []
+    for _ in range(k):
+        total = sum(pool_weights)
+        if total <= 0:
+            index = int(rng.integers(len(pool)))
+        else:
+            probabilities = [w / total for w in pool_weights]
+            index = int(rng.choice(len(pool), p=probabilities))
+        chosen.append(pool.pop(index))
+        pool_weights.pop(index)
+    return chosen
 
 
 def choose_slots_graph_walk(

@@ -1,7 +1,11 @@
 """Tests for the low-level sampling helpers."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ValidationError
 from repro.synth.sampling import (
@@ -9,6 +13,7 @@ from repro.synth.sampling import (
     shuffled,
     weighted_sample_without_replacement,
 )
+from tests.synth.oracles import weighted_sample_choice
 
 
 class TestAllocateCounts:
@@ -111,6 +116,55 @@ class TestWeightedSampleWithoutReplacement:
             rng, [0, 1, 2], [0.0, 0.0, 0.0], 2
         )
         assert len(set(chosen)) == 2
+
+
+def _draw(sample, seed, items, weights, k):
+    """(outcome, next uniform): the picks or the exception type, then
+    the generator's next ``random()``."""
+    rng = np.random.default_rng(seed)
+    try:
+        outcome = sample(rng, items, weights, k)
+    except Exception as error:  # noqa: BLE001 - compared by type
+        outcome = type(error)
+    return outcome, rng.random()
+
+
+# Zero, subnormal, ordinary, huge (two of them overflow the total)
+# and non-finite weights.
+_WEIGHTS = st.one_of(
+    st.sampled_from(
+        [0.0, -0.0, 5e-324, 1e-310, 1e-300, 1e300, 1.7e308, math.inf,
+         math.nan]
+    ),
+    st.floats(min_value=0.0, max_value=1e6, allow_nan=False),
+)
+
+
+class TestWeightedSampleMatchesChoice:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        weights=st.lists(_WEIGHTS, min_size=1, max_size=9),
+        data=st.data(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_same_picks_errors_and_generator_state(
+        self, weights, data, seed
+    ):
+        items = list(range(10, 10 + len(weights)))
+        k = data.draw(st.integers(0, len(weights)), label="k")
+        fast = _draw(weighted_sample_without_replacement, seed, items,
+                     weights, k)
+        slow = _draw(weighted_sample_choice, seed, items, weights, k)
+        assert fast == slow
+
+    @pytest.mark.parametrize(
+        "weights", [[1.0, math.inf], [math.nan, 1.0], [1.7e308, 1.7e308]]
+    )
+    def test_non_finite_total_raises_value_error(self, weights):
+        for sample in (weighted_sample_without_replacement,
+                       weighted_sample_choice):
+            with pytest.raises(ValueError):
+                sample(np.random.default_rng(0), [0, 1], weights, 1)
 
 
 class TestShuffled:
