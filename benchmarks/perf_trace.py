@@ -14,7 +14,11 @@ Three sections, written to ``BENCH_trace.json`` at the repo root:
   components, verified bit-exact before any number is reported.
 * ``codec`` — serializing (``dumps``) and parsing (``parse_trace``)
   the recorded trace, as lines/second, with the round trip asserted
-  byte-identical.
+  byte-identical, and ``compare_traces`` of the recorded trace
+  against its bit-exact replay (``compare_s``).  Its frozen
+  ``before_codec`` block holds the same numbers as last measured when
+  every comparison formatted both traces' lines and every line went
+  through ``json.loads``.
 
 Run::
 
@@ -43,7 +47,7 @@ from repro.sim import (
     ClusterSimulator,
     WorkloadConfig,
 )
-from repro.trace import TraceRecorder, parse_trace, replay
+from repro.trace import TraceRecorder, compare_traces, parse_trace, replay
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 REPORT_PATH = REPO_ROOT / "BENCH_trace.json"
@@ -51,6 +55,26 @@ REPORT_PATH = REPO_ROOT / "BENCH_trace.json"
 BENCH_SEED = 42
 BENCH_MACHINE = "tsubame3"
 OVERHEAD_FLOOR_PCT = 10.0
+
+#: The ``codec`` section as last measured with ``compare_traces``
+#: formatting every event line of both traces and ``parse_trace``
+#: decoding each line with ``json.loads``.
+CODEC_BEFORE = {
+    "note": (
+        "format-everything compare_traces and json.loads parse_trace: "
+        "this section of the current perf_trace.py run on the previous "
+        "trace codec, per-field medians of seven runs alternating with "
+        "the current codec's, pinned to one CPU of a shared 2-CPU host "
+        "(Python 3.11.7, NumPy 2.4.6); not re-measured"
+    ),
+    "horizon_hours": 1000.0,
+    "lines": 6086,
+    "dumps_s": 0.022411009998904774,
+    "parse_s": 0.03498197299995809,
+    "compare_s": 0.05112610900323489,
+    "dumps_lines_per_s": 271562.950545175,
+    "parse_lines_per_s": 173975.3215179513,
+}
 
 
 def _reps() -> int:
@@ -139,9 +163,11 @@ def _bench_replay(reps: int, horizon: float) -> dict:
 def _bench_codec(reps: int, horizon: float) -> dict:
     trace = _record_reference(horizon)
     lines = len(trace.lines())
+    replayed = replay(trace).trace
 
     dumps_times: list[float] = []
     parse_times: list[float] = []
+    compare_times: list[float] = []
     for _ in range(max(3, reps // 2)):
         start = time.perf_counter()
         text = trace.dumps()
@@ -150,6 +176,10 @@ def _bench_codec(reps: int, horizon: float) -> dict:
         parsed, quarantined = parse_trace(text)
         parse_times.append(time.perf_counter() - start)
         assert not quarantined
+        start = time.perf_counter()
+        divergence = compare_traces(trace, replayed)
+        compare_times.append(time.perf_counter() - start)
+        assert divergence is None
     assert parsed.dumps() == text  # byte-identical round trip
     dumps_s = min(dumps_times)
     parse_s = min(parse_times)
@@ -158,9 +188,11 @@ def _bench_codec(reps: int, horizon: float) -> dict:
         "bytes": len(text),
         "dumps_s": dumps_s,
         "parse_s": parse_s,
+        "compare_s": min(compare_times),
         "dumps_lines_per_s": lines / dumps_s,
         "parse_lines_per_s": lines / parse_s,
         "round_trip_ok": True,
+        "before_codec": CODEC_BEFORE,
     }
 
 
@@ -204,10 +236,14 @@ def main() -> None:
         f"({rep['events_per_s']:.0f} events/s, bit-exact)"
     )
     codec = results["codec"]
+    before = codec["before_codec"]
     print(
         f"codec: dumps {codec['dumps_lines_per_s']:.0f} lines/s, "
         f"parse {codec['parse_lines_per_s']:.0f} lines/s "
-        f"({codec['bytes'] / 1024:.0f} KiB round-tripped)"
+        f"({codec['bytes'] / 1024:.0f} KiB round-tripped), compare "
+        f"{1e3 * codec['compare_s']:.1f} ms; before: parse "
+        f"{before['parse_lines_per_s']:.0f} lines/s, compare "
+        f"{1e3 * before['compare_s']:.1f} ms"
     )
     write_report(results)
     print(f"wrote {REPORT_PATH}")

@@ -5,7 +5,8 @@ Runs the full :mod:`perf_trace` benchmark, writes ``BENCH_trace.json``,
 and asserts the claims: recording a full workload simulation through
 the pub/sub bus costs <= 10% wall-clock overhead, replay reproduces
 the recording bit-exactly (asserted *inside* the benchmark before any
-number is reported), and the codec round trip is byte-identical.  The
+number is reported), the codec round trip is byte-identical, and the
+codec's frozen ``before_codec`` block is unchanged.  The
 overhead floor is asserted at >= 5 interleaved repetitions (the
 default 7); reduced-rep smoke runs record their numbers without
 asserting a ratio that timing noise cannot honestly support.
@@ -43,6 +44,16 @@ def test_replay_bit_exact_and_report_complete(results):
     assert results["replay"]["bit_exact"] is True
     assert results["replay"]["events"] > 1000
     assert results["codec"]["round_trip_ok"] is True
+
+
+def test_codec_before_block_is_frozen(results):
+    codec = results["codec"]
+    before = codec["before_codec"]
+    assert before == perf_trace.CODEC_BEFORE
+    assert "not re-measured" in before["note"]
+    if results["horizon_hours"] == before["horizon_hours"]:
+        assert before["lines"] == codec["lines"]
+    assert codec["compare_s"] > 0
 
 
 def test_recording_overhead_floor(results):

@@ -21,15 +21,16 @@ simulation report and an ``end`` summary line:
     Run summary (event count, wall seconds); excluded from bit-exact
     comparison because wall time is not deterministic.
 
-Every line is canonical JSON — sorted keys, no whitespace, ``nan``
-rejected — so byte equality of two traces is equivalent to semantic
-equality, and Python float repr round-trips bit-exactly through the
-codec.
+Every line is canonical JSON — sorted keys, no whitespace, ``NaN``
+and the infinities rejected by the writer and the reader — so byte
+equality of two traces is equivalent to semantic equality, and Python
+float repr round-trips bit-exactly through the codec.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -46,6 +47,7 @@ __all__ = [
     "Trace",
     "canonical_line",
     "event_line",
+    "is_plain_event",
     "config_to_dict",
     "config_from_dict",
     "report_to_dict",
@@ -63,16 +65,35 @@ EVENT_KINDS = frozenset(
     {"fail", "rstart", "rdone", "jsub", "jstart", "jdone", "jkill"}
 )
 
+#: Event kind -> its keys beyond ``"t"``, sorted, each with the one
+#: type the recorder writes for it.  The plain-event check reads the
+#: types; :data:`_EVENT_KEYS` and the formatters' key counts derive
+#: from the keys.
+_EVENT_SCHEMA: dict[str, tuple[tuple[str, type], ...]] = {
+    "fail": (
+        ("cat", str), ("gpus", list), ("node", int), ("time", float),
+        ("ttr", float),
+    ),
+    "rstart": (("cat", str), ("node", int), ("time", float)),
+    "rdone": (("cat", str), ("node", int), ("time", float)),
+    "jsub": (
+        ("hours", float), ("job", int), ("time", float), ("width", int),
+    ),
+    "jstart": (("job", int), ("nodes", list), ("time", float)),
+    "jdone": (("job", int), ("time", float)),
+    "jkill": (("job", int), ("node", int), ("time", float)),
+}
+
 #: Required keys per event kind (beyond ``"t"``).
 _EVENT_KEYS: dict[str, frozenset[str]] = {
-    "fail": frozenset({"time", "node", "cat", "ttr", "gpus"}),
-    "rstart": frozenset({"time", "node", "cat"}),
-    "rdone": frozenset({"time", "node", "cat"}),
-    "jsub": frozenset({"time", "job", "width", "hours"}),
-    "jstart": frozenset({"time", "job", "nodes"}),
-    "jdone": frozenset({"time", "job"}),
-    "jkill": frozenset({"time", "job", "node"}),
+    kind: frozenset(key for key, _ in schema)
+    for kind, schema in _EVENT_SCHEMA.items()
 }
+
+#: Plain ints lie strictly inside +-2**63, far below the shortest
+#: int -> str digit limit Python allows (640 digits), so they always
+#: print.
+_INT_BOUND = 2**63
 
 
 #: One shared encoder: ``json.dumps`` with non-default options builds a
@@ -182,6 +203,44 @@ def event_line(event: dict) -> str:
     except (KeyError, TypeError, ValueError):
         pass
     return canonical_line(event)
+
+
+def is_plain_event(event) -> bool:
+    """Whether ``event`` is an event exactly as the recorder writes it.
+
+    Plain means: an exact ``dict`` holding ``"t"`` and exactly its
+    kind's keys, each value of the one type the schema names for it
+    (no subclasses, so no ``bool`` and no NumPy scalars), every float
+    finite and nonzero, every int inside +-2**63, and every list made
+    of such ints only.  :func:`event_line` formats a plain event with
+    its kind's template, from these values alone, and never falls
+    back to :func:`canonical_line`.
+    """
+    if type(event) is not dict:
+        return False
+    kind = event.get("t")
+    schema = _EVENT_SCHEMA.get(kind) if type(kind) is str else None
+    if schema is None or len(event) != len(schema) + 1:
+        return False
+    for key, expected in schema:
+        value = event.get(key)
+        if type(value) is not expected:
+            return False
+        if expected is float:
+            # Finite and nonzero: NaN and inf - inf fail the first
+            # test, and -0.0 == 0.0 while the two print differently.
+            if value - value != 0.0 or value == 0.0:
+                return False
+        elif expected is int:
+            if not -_INT_BOUND < value < _INT_BOUND:
+                return False
+        elif expected is list:
+            for item in value:
+                if type(item) is not int or not (
+                    -_INT_BOUND < item < _INT_BOUND
+                ):
+                    return False
+    return True
 
 
 def config_to_dict(config: SimulationConfig) -> dict:
@@ -448,6 +507,43 @@ class Trace:
         return "\n".join(self.lines()) + "\n"
 
 
+def _reject_constant(name: str):
+    raise json.JSONDecodeError(f"{name} is not allowed", name, 0)
+
+
+#: The one decoder traces are read with: the default one, except that
+#: ``NaN``, ``Infinity`` and ``-Infinity`` are errors, as they are for
+#: the canonical encoder.
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+_scan_once = _DECODER.scan_once
+
+
+def _decode_line(line: str):
+    """Decode one stripped, nonblank trace line.
+
+    The C scanner's ``scan_once(line, 0)`` result is kept when the
+    scan consumed the whole line.  Any other outcome goes through
+    ``json.loads``'s checks (a BOM, leading and trailing JSON
+    whitespace, extra data) on the same decoder, so every error
+    reads as ``json.loads`` would put it.
+
+    Raises:
+        json.JSONDecodeError: For text ``json.loads`` rejects, and for
+            ``NaN`` / ``Infinity`` / ``-Infinity``.
+    """
+    try:
+        obj, end = _scan_once(line, 0)
+    except (StopIteration, ValueError):
+        end = None
+    if end == len(line):
+        return obj
+    if line.startswith("\ufeff"):
+        raise json.JSONDecodeError(
+            "Unexpected UTF-8 BOM (decode using utf-8-sig)", line, 0
+        )
+    return _DECODER.decode(line)
+
+
 def parse_trace(
     text: str, *, on_error: str = "raise"
 ) -> tuple[Trace, list[QuarantinedLine]]:
@@ -468,7 +564,10 @@ def parse_trace(
         TraceError: On a malformed line (``"raise"`` mode), a missing
             or invalid header, or an unsupported schema version.  A
             bad *header* always raises — without it nothing else in
-            the file is interpretable.
+            the file is interpretable.  A line holding ``NaN``,
+            ``Infinity`` or ``-Infinity`` is malformed, and the
+            header's ``horizon_hours`` must be a finite number that
+            is not a bool.
     """
     if on_error not in ("raise", "quarantine"):
         raise TraceError(
@@ -492,7 +591,7 @@ def parse_trace(
         if not line:
             continue
         try:
-            obj = json.loads(line)
+            obj = _decode_line(line)
         except json.JSONDecodeError as exc:
             if header is None:
                 raise TraceError(
@@ -526,12 +625,16 @@ def parse_trace(
                 raise TraceError(
                     f"trace line {number}: header has no config object"
                 )
-            if not isinstance(
-                obj.get("horizon_hours"), (int, float)
-            ):
+            horizon = obj.get("horizon_hours")
+            if not isinstance(horizon, (int, float)):
                 raise TraceError(
                     f"trace line {number}: header has no numeric "
                     f"horizon_hours"
+                )
+            if type(horizon) is bool or not math.isfinite(horizon):
+                raise TraceError(
+                    f"trace line {number}: header horizon_hours must "
+                    f"be a finite number, got {horizon!r}"
                 )
             header = obj
             continue
@@ -542,16 +645,16 @@ def parse_trace(
         elif kind == "end":
             end = {k: v for k, v in obj.items() if k != "t"}
         elif kind in EVENT_KINDS:
-            missing = _EVENT_KEYS[kind] - obj.keys()
-            if missing:
+            required = _EVENT_KEYS[kind]
+            if obj.keys() >= required:
+                events.append(obj)
+            else:
                 bad(
                     number,
                     raw,
                     f"{kind} event missing keys "
-                    f"{sorted(missing)}",
+                    f"{sorted(required - obj.keys())}",
                 )
-            else:
-                events.append(obj)
         else:
             bad(number, raw, f"unknown event type {kind!r}")
 
@@ -587,11 +690,16 @@ def read_trace(
 def write_trace(trace: Trace, path: str | os.PathLike) -> None:
     """Write a trace to disk as canonical JSONL.
 
+    The text is built before the file is opened, so a trace that is
+    not canonical JSON leaves an existing file as it was.
+
     Raises:
-        TraceError: If the file cannot be written.
+        TraceError: If the trace is not canonical JSON or the file
+            cannot be written.
     """
+    text = trace.dumps()
     try:
         with open(path, "w", encoding="utf-8") as handle:
-            handle.write(trace.dumps())
+            handle.write(text)
     except OSError as exc:
         raise TraceError(f"cannot write trace {path}: {exc}") from exc

@@ -30,7 +30,7 @@ from repro.sim.jobs import Job
 from repro.sim.repair import RepairPolicy, RepairService, SparePool
 from repro.sim.scheduler import Scheduler
 from repro.sim.simulator import SimulationConfig, SimulationReport
-from repro.trace.format import Trace, canonical_line
+from repro.trace.format import Trace, canonical_line, is_plain_event
 from repro.trace.recorder import TraceRecorder
 
 __all__ = [
@@ -373,7 +373,57 @@ def compare_traces(
     Returns the first divergence, or None when the replay is
     bit-exact.  The ``end`` line (wall-clock timing) is deliberately
     outside the comparison.
+
+    Values are compared before any event line is formatted.  When
+    every event of both traces is plain (:func:`is_plain_event`) and
+    the two event lists are equal, their lines are equal too, so none
+    is formatted.  :func:`event_line` writes a plain event with its
+    kind's template from its values alone, and equal values of one
+    exact type print alike: equal ints by ``int.__repr__`` (inside
+    +-2**63, so always printable), equal strs by the same quoting,
+    equal int lists item by item, and equal finite floats by
+    ``float.__repr__``, because equal doubles are one double except
+    ``0.0 == -0.0``, and zero is not plain.  Lists of equal length
+    compare pair by pair, and equal dicts have equal values key by
+    key, so each pair shares a kind and its values.  Plainness is
+    tested first, so ``==`` only ever meets those types.
+
+    Anything else (``1`` against ``1.0``, ``True`` against ``1``, a
+    NumPy scalar, a NaN object on both sides, an extra key, a zero
+    time, unequal events) formats every event of both traces and
+    compares the lines, so the divergence returned and any
+    :class:`TraceError` raised are the ones the lines give.
     """
+    if not (
+        all(map(is_plain_event, recorded.events))
+        and all(map(is_plain_event, replayed.events))
+        and recorded.events == replayed.events
+    ):
+        divergence = _event_line_divergence(recorded, replayed)
+        if divergence is not None:
+            return divergence
+    if recorded.report is not None:
+        expected = canonical_line(recorded.report)
+        actual = (
+            canonical_line(replayed.report)
+            if replayed.report is not None
+            else None
+        )
+        if expected != actual:
+            return TraceDivergence(
+                kind="report",
+                index=None,
+                expected=expected,
+                actual=actual,
+            )
+    return None
+
+
+def _event_line_divergence(
+    recorded: Trace, replayed: Trace
+) -> TraceDivergence | None:
+    """The first event whose canonical lines differ, formatting every
+    event of both traces first."""
     recorded_lines = recorded.event_lines()
     replayed_lines = replayed.event_lines()
     for index, (expected, actual) in enumerate(
@@ -402,20 +452,6 @@ def compare_traces(
                 else None
             ),
         )
-    if recorded.report is not None:
-        expected = canonical_line(recorded.report)
-        actual = (
-            canonical_line(replayed.report)
-            if replayed.report is not None
-            else None
-        )
-        if expected != actual:
-            return TraceDivergence(
-                kind="report",
-                index=None,
-                expected=expected,
-                actual=actual,
-            )
     return None
 
 

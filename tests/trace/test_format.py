@@ -207,6 +207,107 @@ class TestParseTrace:
         assert trace.dumps() == headless_trace.dumps()
 
 
+class TestNonFiniteRejectedOnRead:
+    """``json.loads`` reads ``NaN``, ``Infinity`` and ``-Infinity``; a
+    trace line holding one is malformed, and the header's horizon must
+    be a finite number that is not a bool."""
+
+    CONSTANTS = ["NaN", "Infinity", "-Infinity"]
+
+    @staticmethod
+    def with_fail_time(trace: Trace, literal: str) -> str:
+        lines = trace.dumps().splitlines()
+        index = next(
+            i for i, line in enumerate(lines) if '"t":"fail"' in line
+        )
+        event = json.loads(lines[index])
+        lines[index] = lines[index].replace(
+            f'"time":{event["time"]!r}', f'"time":{literal}'
+        )
+        assert literal in lines[index]
+        return "\n".join(lines), index + 1
+
+    @pytest.mark.parametrize("literal", CONSTANTS)
+    def test_event_line_raises_naming_the_line(
+        self, headless_trace, literal
+    ):
+        text, number = self.with_fail_time(headless_trace, literal)
+        with pytest.raises(
+            TraceError,
+            match=rf"trace line {number}: not valid JSON \({literal} is "
+            rf"not allowed\)",
+        ):
+            parse_trace(text)
+
+    @pytest.mark.parametrize("literal", CONSTANTS)
+    def test_event_line_quarantined(self, headless_trace, literal):
+        text, number = self.with_fail_time(headless_trace, literal)
+        trace, quarantined = parse_trace(text, on_error="quarantine")
+        assert [(q.line_number, q.reason) for q in quarantined] == [
+            (number, f"not valid JSON ({literal} is not allowed)")
+        ]
+        assert len(trace.events) == len(headless_trace.events) - 1
+
+    def test_report_line_quarantined(self, headless_trace):
+        lines = headless_trace.dumps().splitlines()
+        lines[-2] = lines[-2].replace(
+            '"availability":', '"availability":NaN,"x":'
+        )
+        _, quarantined = parse_trace(
+            "\n".join(lines), on_error="quarantine"
+        )
+        assert [q.line_number for q in quarantined] == [len(lines) - 1]
+
+    @pytest.mark.parametrize("literal", CONSTANTS)
+    def test_header_constant_raises_even_lenient(
+        self, headless_trace, literal
+    ):
+        header = canonical_line(headless_trace.header_dict())
+        bad = header.replace('"schema":1', f'"schema":1,"x":{literal}')
+        with pytest.raises(
+            TraceError,
+            match=rf"trace line 1: header is not valid JSON \({literal}",
+        ):
+            parse_trace(bad, on_error="quarantine")
+
+    @pytest.mark.parametrize(
+        "horizon", ["true", "false", "NaN", "Infinity", "1e999", "-1e999"]
+    )
+    def test_horizon_must_be_finite_and_not_bool(
+        self, headless_trace, horizon
+    ):
+        header = headless_trace.header_dict()
+        header["horizon_hours"] = 0.5
+        line = canonical_line(header).replace(
+            '"horizon_hours":0.5', f'"horizon_hours":{horizon}'
+        )
+        assert horizon in line
+        with pytest.raises(TraceError, match="trace line 1: header"):
+            parse_trace(line, on_error="quarantine")
+
+    @pytest.mark.parametrize("horizon", ["600", "600.0", "-1.5"])
+    def test_numeric_horizons_still_read(self, headless_trace, horizon):
+        header = headless_trace.header_dict()
+        header["horizon_hours"] = 0.5
+        line = canonical_line(header).replace(
+            '"horizon_hours":0.5', f'"horizon_hours":{horizon}'
+        )
+        trace, _ = parse_trace(line)
+        assert trace.horizon_hours == float(horizon)
+
+    def test_reading_nan_text_raises_trace_error(
+        self, tmp_path, headless_trace
+    ):
+        # Read without this check, the NaN time reaches the engine and
+        # replay fails with SimulationError("event time must be
+        # finite") instead.
+        text, _ = self.with_fail_time(headless_trace, "NaN")
+        path = tmp_path / "nan.jsonl"
+        path.write_text(text)
+        with pytest.raises(TraceError, match="NaN is not allowed"):
+            read_trace(path)
+
+
 class TestReadWrite:
     def test_write_then_read_byte_identical(self, tmp_path, headless_trace):
         path = tmp_path / "run.jsonl"
@@ -224,6 +325,18 @@ class TestReadWrite:
     ):
         with pytest.raises(TraceError, match="cannot write"):
             write_trace(headless_trace, tmp_path / "no" / "dir.jsonl")
+
+    def test_failed_write_keeps_the_existing_file(
+        self, tmp_path, headless_trace
+    ):
+        path = tmp_path / "run.jsonl"
+        write_trace(headless_trace, path)
+        before = path.read_bytes()
+        broken = copy_trace(headless_trace)
+        broken.events[0]["time"] = float("nan")
+        with pytest.raises(TraceError, match="not canonical JSON"):
+            write_trace(broken, path)
+        assert path.read_bytes() == before
 
     def test_tamper_survives_copy_helper(self, headless_trace):
         copied = copy_trace(headless_trace)

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import math
+import re
+
 import pytest
 
 from repro.errors import TraceError
@@ -53,3 +56,23 @@ class TestTraceSource:
             monitor.observe(event)
         snapshot = monitor.snapshot()
         assert snapshot.events_seen == len(headless_trace.failures)
+
+    def test_non_finite_time_is_quarantined_not_streamed(
+        self, tmp_path, headless_trace
+    ):
+        lines = headless_trace.dumps().splitlines()
+        index = next(
+            i for i, line in enumerate(lines) if '"t":"fail"' in line
+        )
+        lines[index] = re.sub(
+            r'"time":[^,}]+', '"time":NaN', lines[index]
+        )
+        path = tmp_path / "nan.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(TraceError, match="NaN is not allowed"):
+            TraceSource(path)
+        source = TraceSource(path, on_error="quarantine")
+        assert [q.line_number for q in source.quarantined] == [index + 1]
+        times = [event.time_hours for event in source]
+        assert len(times) == len(headless_trace.failures) - 1
+        assert all(math.isfinite(time) for time in times)
