@@ -14,9 +14,11 @@ where multi-GPU failures take the injector's sequential
 topology-affinity slot pick; it records the multi-GPU failure count
 beside events per second, and carries the tier's measurement from
 before the bus-mate table (when every pick walked the topology graph)
-as a frozen ``before`` block, and the tier's measurement before the
-columnar cluster, tuple repair bookkeeping and unrolled slot draw as a
-frozen ``before_columnar`` block.  Its ``parity_ok`` records that the
+as a frozen ``before`` block, the tier's measurement before the columnar
+cluster, tuple repair bookkeeping and unrolled slot draw as a frozen
+``before_columnar`` block, and its measurement before the C-level draw
+streams, closure-free repair events and acyclic replications as a
+frozen ``before_lean_fire`` block.  Its ``parity_ok`` records that the
 run, repeated with the object-per-node cluster of
 ``tests/sim/oracles.py`` and the ``choice(p=)`` slot draw of
 ``tests/synth/oracles.py`` patched in, gives an equal report and
@@ -25,8 +27,9 @@ injected log.
 It then benchmarks :func:`repro.sim.montecarlo.run_replications`:
 replications per second serially and across workers, asserting the
 two ensembles are bit-identical (the serial-vs-parallel parity
-guarantee), and writes ``BENCH_sim.json`` at the repo root next to
-``BENCH_core.json``.
+guarantee), records the cyclic garbage collections per generation
+during the serial ensemble (``gc.get_stats()`` deltas), and writes
+``BENCH_sim.json`` at the repo root next to ``BENCH_core.json``.
 
 Run::
 
@@ -39,6 +42,7 @@ resizes the ensemble (CI smoke uses a small one).
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import platform
@@ -135,6 +139,25 @@ A100_BEFORE_COLUMNAR = {
     "wall_s": 0.02130025599944929,
     "events": 2962,
     "events_per_s": 139059.3615436632,
+    "failures": 1425,
+    "multi_gpu_failures": 62,
+}
+
+
+#: The ``a100_1x`` tier as last measured with the per-draw ``_Stream``
+#: buffer, lambda repair events, a list of back-orders and a finished
+#: replication left for the cyclic collector.  Frozen; never
+#: re-measured.
+A100_BEFORE_LEAN_FIRE = {
+    "note": (
+        "Python-level draw buffers and lambda repair events: this tier "
+        "of the previous perf_sim.py, median of seven best-of-10 runs "
+        "alternating with the lean version's, measured once on 2 CPUs "
+        "(Python 3.11.7, NumPy 2.4.6); not re-measured"
+    ),
+    "wall_s": 0.01989823899930343,
+    "events": 2962,
+    "events_per_s": 148857.39386805485,
     "failures": 1425,
     "multi_gpu_failures": 62,
 }
@@ -262,7 +285,13 @@ def _bench_multi_gpu() -> dict:
         ),
         "before": A100_BEFORE,
         "before_columnar": A100_BEFORE_COLUMNAR,
+        "before_lean_fire": A100_BEFORE_LEAN_FIRE,
     }
+
+
+def _gc_collections() -> list[int]:
+    """Cyclic collections so far, per generation."""
+    return [stats["collections"] for stats in gc.get_stats()]
 
 
 def _bench_ensemble() -> dict:
@@ -287,9 +316,14 @@ def _bench_ensemble() -> dict:
             max_workers=ENSEMBLE_WORKERS,
         )
 
+    collections = _gc_collections()
     start = time.perf_counter()
     serial_report = serial()
     serial_s = time.perf_counter() - start
+    serial_gc = [
+        after - before
+        for before, after in zip(collections, _gc_collections())
+    ]
     start = time.perf_counter()
     parallel_report = parallel()
     parallel_s = time.perf_counter() - start
@@ -312,6 +346,10 @@ def _bench_ensemble() -> dict:
         ),
         "speedup": serial_s / parallel_s if parallel_s else float("inf"),
         "parity_ok": parity,
+        "serial_gc_collections": {
+            f"gen{generation}": count
+            for generation, count in enumerate(serial_gc)
+        },
         # Parity is asserted everywhere; an actual speedup is only a
         # meaningful claim on a multi-core host.  On fewer cores the
         # timings are still recorded but the flag tells consumers
@@ -358,7 +396,9 @@ def main() -> None:
     print(
         f"a100 1x: {tier['events_per_s']:,.0f} events/s, "
         f"{tier['multi_gpu_failures']} multi-GPU failures, "
-        f"parity={tier['parity_ok']}; before the columnar cluster "
+        f"parity={tier['parity_ok']}; before the lean fire path "
+        f"{tier['before_lean_fire']['events_per_s']:,.0f} events/s, "
+        f"before the columnar cluster "
         f"{tier['before_columnar']['events_per_s']:,.0f} events/s, before "
         f"the bus-mate table {tier['before']['events_per_s']:,.0f} events/s"
     )
@@ -370,7 +410,8 @@ def main() -> None:
         f"{ensemble['serial_replications_per_s']:.1f} rep/s serial vs "
         f"{ensemble['parallel_replications_per_s']:.1f} rep/s parallel "
         f"({ensemble['speedup']:.2f}x), "
-        f"parity={ensemble['parity_ok']}"
+        f"parity={ensemble['parity_ok']}, serial gc collections "
+        f"{ensemble['serial_gc_collections']}"
     )
     path = write_report(results)
     print(f"wrote {path}")

@@ -7,8 +7,10 @@ ensemble), writes ``BENCH_sim.json``, and asserts the invariants that
 must never regress: every tier simulates events at a positive rate,
 the A100 tier injects multi-GPU failures and matches its run with the
 object-per-node cluster and ``choice(p=)`` slot draw oracles patched
-in, its ``before`` and ``before_columnar`` blocks stay frozen, and the
-parallel ensemble is bit-identical to the serial one.
+in, its ``before``, ``before_columnar`` and ``before_lean_fire``
+blocks stay frozen, the parallel ensemble is bit-identical to the
+serial one, and the serial ensemble's garbage collections are recorded
+per generation.
 
 Parity is asserted on every host.  The replication-scaling criterion
 (>2x with 4 workers) is asserted only when the machine actually has
@@ -74,6 +76,23 @@ def test_multi_gpu_before_columnar_block_is_frozen(results):
     assert "not re-measured" in before["note"]
     assert before["events"] == results["a100_1x"]["events"]
     assert before["failures"] == results["a100_1x"]["failures"]
+
+
+def test_multi_gpu_before_lean_fire_block_is_frozen(results):
+    before = results["a100_1x"]["before_lean_fire"]
+    assert before == perf_sim.A100_BEFORE_LEAN_FIRE
+    assert "not re-measured" in before["note"]
+    assert before["events"] == results["a100_1x"]["events"]
+    assert before["failures"] == results["a100_1x"]["failures"]
+
+
+def test_ensemble_gc_collections_recorded(results):
+    collections = results["ensemble"]["serial_gc_collections"]
+    assert set(collections) == {"gen0", "gen1", "gen2"}
+    assert all(
+        isinstance(count, int) and count >= 0
+        for count in collections.values()
+    )
 
 
 def test_ensemble_parity_serial_vs_parallel(results):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -65,6 +66,10 @@ class DowntimeInterval(NamedTuple):
         return self.repaired_at - self.failed_at
 
 
+#: ``DowntimeInterval._make`` without its Python frame.
+_interval = partial(tuple.__new__, DowntimeInterval)
+
+
 @dataclass
 class Node:
     """Health of one node, as :meth:`Cluster.node` reports it."""
@@ -101,7 +106,9 @@ class Cluster:
         self._failed_at: list[float | None] = [None] * num_nodes
         self._repair_started_at: list[float | None] = [None] * num_nodes
         self._failed_gpus: dict[int, set[int]] = {}
-        self._history: list[DowntimeInterval] = []
+        # Outages as plain field tuples of DowntimeInterval: the cyclic
+        # collector untracks plain tuples of atoms, never NamedTuples.
+        self._history: list[tuple[int, str, float, float, float]] = []
         # Swap-remove index of healthy node ids: O(1) membership
         # updates on fail/repair and O(1) uniform sampling, so the
         # fault injector never scans the fleet per event.  The list
@@ -124,18 +131,17 @@ class Cluster:
     @property
     def history(self) -> tuple[DowntimeInterval, ...]:
         """Completed outages, in completion order."""
-        return tuple(self._history)
+        return tuple(map(_interval, self._history))
 
     @property
     def repairs_completed(self) -> int:
         """Count of completed outages (the length of :attr:`history`)."""
         return len(self._history)
 
-    def _check_node(self, node_id: int) -> None:
-        if not 0 <= node_id < self._num_nodes:
-            raise SimulationError(
-                f"node id {node_id} out of range [0, {self._num_nodes})"
-            )
+    def _bad_node(self, node_id: int) -> SimulationError:
+        return SimulationError(
+            f"node id {node_id} out of range [0, {self._num_nodes})"
+        )
 
     def node(self, node_id: int) -> Node:
         """Return a snapshot of one node's state.
@@ -147,7 +153,8 @@ class Cluster:
         Raises:
             SimulationError: On an out-of-range id.
         """
-        self._check_node(node_id)
+        if not 0 <= node_id < self._num_nodes:
+            raise self._bad_node(node_id)
         return Node(
             node_id=node_id,
             num_gpus=self._num_gpus,
@@ -179,10 +186,7 @@ class Cluster:
 
         The ordering is an implementation detail (swap-remove order,
         not ascending); it is deterministic for a given event history,
-        which is all uniform sampling needs — pair with
-        :meth:`num_available` to draw a random healthy node without
-        materialising the fleet-sized list of
-        :meth:`available_nodes`.
+        which is all uniform sampling (:meth:`random_node`) needs.
 
         Raises:
             SimulationError: If the index is out of range (including
@@ -194,6 +198,18 @@ class Cluster:
                 f"[0, {len(self._available)})"
             )
         return self._available[index]
+
+    def random_node(self, uniform: float) -> int:
+        """The node a draw ``uniform`` in [0, 1) picks, in O(1).
+
+        Uniform over the healthy nodes in :meth:`available_at` order,
+        or over the whole fleet when no node is healthy (the failure
+        is then absorbed by an ongoing outage).
+        """
+        available = self._available
+        if available:
+            return available[int(uniform * len(available))]
+        return int(uniform * self._num_nodes)
 
     # -- state transitions -------------------------------------------------
 
@@ -218,7 +234,8 @@ class Cluster:
             SimulationError: On an out-of-range id or invalid GPU
                 slots; the node is left unchanged.
         """
-        self._check_node(node_id)
+        if not 0 <= node_id < self._num_nodes:
+            raise self._bad_node(node_id)
         if gpus_involved:
             num_gpus = self._num_gpus
             for slot in gpus_involved:
@@ -236,7 +253,6 @@ class Cluster:
         self._state[node_id] = _FAILED
         self._category[node_id] = category
         self._failed_at[node_id] = time
-        self._repair_started_at[node_id] = None
         # Swap-remove the node from the healthy index.
         available = self._available
         available_slot = self._available_slot
@@ -256,7 +272,8 @@ class Cluster:
             SimulationError: On an out-of-range id, or if the node is
                 not in the FAILED state.
         """
-        self._check_node(node_id)
+        if not 0 <= node_id < self._num_nodes:
+            raise self._bad_node(node_id)
         state = self._state[node_id]
         if state is not _FAILED:
             raise SimulationError(
@@ -273,7 +290,8 @@ class Cluster:
             SimulationError: On an out-of-range id, or if the node is
                 not being repaired.
         """
-        self._check_node(node_id)
+        if not 0 <= node_id < self._num_nodes:
+            raise self._bad_node(node_id)
         state = self._state[node_id]
         if state is not _REPAIRING:
             raise SimulationError(
@@ -286,14 +304,14 @@ class Cluster:
             raise SimulationError(
                 f"node {node_id} has inconsistent repair bookkeeping"
             )
-        interval = DowntimeInterval(
+        fields = (
             node_id,
             self._category[node_id] or "unknown",
             failed_at,
             repair_started_at,
             time,
         )
-        self._history.append(interval)
+        self._history.append(fields)
         self._state[node_id] = _HEALTHY
         self._failed_gpus.pop(node_id, None)
         self._category[node_id] = None
@@ -302,13 +320,13 @@ class Cluster:
         self._available_slot[node_id] = len(self._available)
         self._available.append(node_id)
         self._up[node_id] = True
-        return interval
+        return _interval(fields)
 
     # -- aggregate metrics ---------------------------------------------------
 
     def total_downtime_hours(self) -> float:
         """Sum of completed outage durations."""
-        return sum(i.total_hours for i in self._history)
+        return sum(i[4] - i[2] for i in self._history)
 
     def availability(self, horizon_hours: float) -> float:
         """Fleet availability over a run of ``horizon_hours``.
@@ -331,7 +349,7 @@ class Cluster:
         """
         if not self._history:
             raise SimulationError("no completed repairs yet")
-        return sum(i.total_hours for i in self._history) / len(self._history)
+        return self.total_downtime_hours() / len(self._history)
 
     def mean_waiting_hours(self) -> float:
         """Mean time failures spend waiting for repair to begin.
@@ -341,6 +359,6 @@ class Cluster:
         """
         if not self._history:
             raise SimulationError("no completed repairs yet")
-        return sum(i.waiting_hours for i in self._history) / len(
+        return sum(i[3] - i[2] for i in self._history) / len(
             self._history
         )

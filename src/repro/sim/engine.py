@@ -88,6 +88,19 @@ class SimulationEngine:
                 f"{', '.join(TOPICS)}"
             ) from None
 
+    def close(self) -> None:
+        """Drop every pending event and subscriber, once a run's
+        results are read.
+
+        The components that scheduled or subscribed callbacks hold this
+        engine, so until then a finished run is a reference cycle that
+        only the cyclic collector frees.  Afterwards no scheduled event
+        fires and no subscriber hears anything.
+        """
+        self._queue.clear()
+        for callbacks in self._subscribers.values():
+            callbacks.clear()
+
     @property
     def now(self) -> float:
         """Current simulation time in hours."""

@@ -7,8 +7,8 @@ repair durations.  Unlike the offline generator, the injector reacts
 to cluster state — failures land on nodes that are currently up.
 
 Per-failure draws are pre-sampled in vectorized NumPy batches and
-handed to the event loop as plain Python scalars, so most failures
-cost a few list indexes.  A failure on some but not all of a node's
+handed to the event loop as plain Python scalars by C iterators, so a
+draw costs no Python frame.  A failure on some but not all of a node's
 GPUs also draws from the ``Generator`` once per slot, reading
 bus-mates from the topology's precomputed ``bus_mates`` table.
 Paired with the cluster's O(1) healthy-node index this is what makes
@@ -18,6 +18,7 @@ Monte-Carlo replication fast.  Runs are bit-reproducible for a seed.
 from __future__ import annotations
 
 from datetime import timedelta
+from itertools import chain
 
 import numpy as np
 
@@ -44,92 +45,17 @@ _BATCH = 512
 _SMALL_BATCH = 128
 
 
-class _Stream:
-    """A refillable buffer of pre-sampled draws.
+def _stream(fill):
+    """A draw stream: each call returns the next pre-sampled draw.
 
     ``fill`` returns a *list* of Python scalars (``ndarray.tolist()``)
-    so consumers index native floats/ints, not NumPy scalars — the
-    arithmetic downstream (heap pushes, comparisons) is measurably
-    faster on native types.
+    so consumers get native floats/ints, not NumPy scalars.  The
+    stream is the C iterator ``chain.from_iterable(iter(fill, None))``:
+    it calls ``fill`` only when the previous list is used up, so the
+    RNG sees the same calls in the same order as an index into a
+    refilled buffer, without a Python frame per draw.
     """
-
-    __slots__ = ("_fill", "_buffer", "_index")
-
-    def __init__(self, fill) -> None:
-        self._fill = fill
-        self._buffer: list = []
-        self._index = 0
-
-    def next(self):
-        index = self._index
-        buffer = self._buffer
-        if index >= len(buffer):
-            buffer = self._buffer = self._fill()
-            index = 0
-        self._index = index + 1
-        return buffer[index]
-
-
-class _BatchedFaultDraws:
-    """Vectorized pre-sampling of every per-failure random quantity.
-
-    Each ``next_*`` attribute but ``next_ttr`` is a bound
-    ``_Stream.next``.  ``next_single_slot`` draws by raw propensity:
-    the ``num_involved == 1`` case of ``choose_slots``.
-    """
-
-    def __init__(
-        self,
-        rng: np.random.Generator,
-        renewal,
-        category_names: list[str],
-        category_probabilities: np.ndarray,
-        involvement_values: list[int],
-        involvement_probabilities: np.ndarray,
-        ttr_samplers: dict[str, LognormalTtrSampler],
-        slot_weights: tuple[float, ...],
-    ) -> None:
-        names = category_names
-        num_categories = len(names)
-        self.next_gap = _Stream(
-            lambda: renewal.sample_gaps(rng, _BATCH).tolist()
-        ).next
-        self.next_category = _Stream(
-            lambda: [
-                names[i]
-                for i in rng.choice(
-                    num_categories, size=_BATCH, p=category_probabilities
-                )
-            ]
-        ).next
-        involvement = np.asarray(involvement_values)
-        self.next_involvement = _Stream(
-            lambda: rng.choice(
-                involvement,
-                size=_SMALL_BATCH,
-                p=involvement_probabilities,
-            ).tolist()
-        ).next
-        self.next_uniform = _Stream(lambda: rng.random(_BATCH).tolist()).next
-        self._ttr = {
-            name: _Stream(
-                lambda s=sampler: s.sample_batch(
-                    rng, _SMALL_BATCH
-                ).tolist()
-            )
-            for name, sampler in ttr_samplers.items()
-        }
-        weights = np.asarray(slot_weights, dtype=float)
-        slot_probabilities = weights / weights.sum()
-        num_slots = len(slot_weights)
-        self.next_single_slot = _Stream(
-            lambda: rng.choice(
-                num_slots, size=_SMALL_BATCH, p=slot_probabilities
-            ).tolist()
-        ).next
-
-    def next_ttr(self, category: str) -> float:
-        return self._ttr[category].next()
+    return chain.from_iterable(iter(fill, None)).__next__
 
 
 class FaultInjector:
@@ -182,27 +108,36 @@ class FaultInjector:
         self._cluster = cluster
         self._repair = repair
         self._profile = profile
-        self._rng = np.random.default_rng(seed)
+        self._rng = rng = np.random.default_rng(seed)
         self._spec = get_machine(profile.machine)
         self._topology = build_node_topology(profile.machine)
+        # Every per-failure random quantity is a _stream of draws
+        # pre-sampled in vectorized batches.
         renewal = calibrate_weibull(
             mean_hours=profile.tbf_mean_hours / intensity,
             p75_hours=profile.tbf_p75_hours / intensity,
+        )
+        self._next_gap = _stream(
+            lambda: renewal.sample_gaps(rng, _BATCH).tolist()
         )
         names = sorted(profile.category_counts)
         weights = np.asarray(
             [profile.category_counts[name] for name in names], dtype=float
         )
-        ttr_samplers = {
-            name: LognormalTtrSampler(
-                profile.category_ttr_mean_hours[name],
-                profile.category_ttr_sigma[name],
-            )
-            for name in names
-        }
+        category_probabilities = weights / weights.sum()
+        self._next_category = _stream(
+            lambda: [
+                names[i]
+                for i in rng.choice(
+                    len(names), size=_BATCH, p=category_probabilities
+                )
+            ]
+        )
         recorded = sum(profile.gpu_involvement_counts.values())
         total_gpu = recorded + profile.gpu_involvement_unrecorded
-        involvement_values = [0] + sorted(profile.gpu_involvement_counts)
+        involvement = np.asarray(
+            [0] + sorted(profile.gpu_involvement_counts)
+        )
         involvement_probabilities = np.asarray(
             [profile.gpu_involvement_unrecorded / total_gpu]
             + [
@@ -210,15 +145,29 @@ class FaultInjector:
                 for k in sorted(profile.gpu_involvement_counts)
             ]
         )
-        self._draws = _BatchedFaultDraws(
-            self._rng,
-            renewal,
-            names,
-            weights / weights.sum(),
-            involvement_values,
-            involvement_probabilities,
-            ttr_samplers,
-            profile.gpu_slot_weights,
+        self._next_involvement = _stream(
+            lambda: rng.choice(
+                involvement, size=_SMALL_BATCH, p=involvement_probabilities
+            ).tolist()
+        )
+        self._next_uniform = _stream(lambda: rng.random(_BATCH).tolist())
+        self._next_ttr = {
+            name: _stream(
+                lambda s=LognormalTtrSampler(
+                    profile.category_ttr_mean_hours[name],
+                    profile.category_ttr_sigma[name],
+                ): s.sample_batch(rng, _SMALL_BATCH).tolist()
+            )
+            for name in names
+        }
+        # Single-slot picks by raw propensity: the ``num_involved == 1``
+        # case of ``choose_slots``.
+        slot_weights = np.asarray(profile.gpu_slot_weights, dtype=float)
+        slot_probabilities = slot_weights / slot_weights.sum()
+        self._next_single_slot = _stream(
+            lambda: rng.choice(
+                len(slot_weights), size=_SMALL_BATCH, p=slot_probabilities
+            ).tolist()
         )
         self._record_injected = record_injected
         self._injected: list[FailureRecord] = []
@@ -239,7 +188,8 @@ class FaultInjector:
 
     def start(self) -> None:
         """Schedule the first failure."""
-        self._schedule_next()
+        # Degenerate zero gaps would stall heap ordering determinism.
+        self._engine.schedule_in(max(self._next_gap(), 1e-6), self._fire)
 
     def injected_log(self) -> FailureLog:
         """Return the injected failures as a validated log.
@@ -271,21 +221,20 @@ class FaultInjector:
 
     # -- internals -----------------------------------------------------------
 
-    def _schedule_next(self) -> None:
-        gap = self._draws.next_gap()
-        # Degenerate zero gaps would stall heap ordering determinism.
-        self._engine.schedule_in(max(gap, 1e-6), self._fire)
-
     def _fire(self) -> None:
-        draws = self._draws
-        category = draws.next_category()
-        node_id = self._pick_node()
+        engine = self._engine
+        now = engine.now
+        category = self._next_category()
+        # Uniform over healthy nodes (any node when the whole fleet is
+        # down) from one pre-sampled uniform: no fleet-sized list.
+        cluster = self._cluster
+        node_id = cluster.random_node(self._next_uniform())
         gpus: tuple[int, ...] = ()
         if category == "GPU":
-            involved = draws.next_involvement()
+            involved = self._next_involvement()
             if (
                 involved > 1
-                and draws.next_uniform() < self._health_test_effectiveness
+                and self._next_uniform() < self._health_test_effectiveness
             ):
                 # A health test caught the degrading bus-mates early;
                 # only one GPU actually fails in service.
@@ -293,13 +242,16 @@ class FaultInjector:
                 self._contained_multi_gpu += 1
             if involved > 0:
                 gpus = self._choose_slots(involved)
-        duration = draws.next_ttr(category)
-        if self._cluster.fail(node_id, category, self._engine.now, gpus):
+        duration = self._next_ttr[category]()
+        if cluster.fail(node_id, category, now, gpus):
             self._repair.submit(node_id, category, duration)
-        self._record(node_id, category, duration, gpus)
+        self._next_record_id += 1
+        if self._record_injected or self._on_failure:
+            self._record(node_id, category, duration, gpus, now)
         for callback in self._on_node_failed:
             callback(node_id, category)
-        self._schedule_next()
+        gap = self._next_gap()
+        engine.schedule_in(gap if gap > 1e-6 else 1e-6, self._fire)
 
     def _choose_slots(self, involved: int) -> tuple[int, ...]:
         num_slots = len(self._profile.gpu_slot_weights)
@@ -309,7 +261,7 @@ class FaultInjector:
             # Single-slot picks (the common case) come from the
             # pre-sampled propensity stream; multi-slot picks need the
             # sequential topology-affinity walk below.
-            return (self._draws.next_single_slot(),)
+            return (self._next_single_slot(),)
         return choose_slots(
             self._rng,
             involved,
@@ -317,28 +269,14 @@ class FaultInjector:
             topology=self._topology,
         )
 
-    def _pick_node(self) -> int:
-        count = self._cluster.num_available()
-        if count:
-            # Uniform over healthy nodes via one pre-sampled uniform
-            # and the cluster's O(1) index — no fleet-sized list per
-            # event.
-            index = int(self._draws.next_uniform() * count)
-            return self._cluster.available_at(index)
-        # Whole fleet down: hit a random node anyway (absorbed outage).
-        return int(self._draws.next_uniform() * self._cluster.num_nodes)
-
     def _record(
         self,
         node_id: int,
         category: str,
         duration: float,
         gpus: tuple[int, ...],
+        now: float,
     ) -> None:
-        self._next_record_id += 1
-        if not (self._record_injected or self._on_failure):
-            return
-        now = self._engine.now
         record = FailureRecord(
             record_id=self._next_record_id - 1,
             timestamp=self._spec.log_start + timedelta(hours=now),

@@ -162,14 +162,21 @@ class _ReplicationTask:
 
 
 def _run_replication(task: _ReplicationTask) -> SimulationReport:
-    """Worker entry point: one seeded simulation, report only."""
+    """Worker entry point: one seeded simulation, report only.
+
+    The engine is closed afterwards, so reference counting alone frees
+    the replication.
+    """
     simulator = ClusterSimulator(
         task.machine,
         seed=task.seed,
         keep_injected_log=False,
         **dict(task.simulator_kwargs),
     )
-    return simulator.run(task.horizon_hours)
+    try:
+        return simulator.run(task.horizon_hours)
+    finally:
+        simulator.engine.close()
 
 
 class _MetricFold:

@@ -201,7 +201,7 @@ class ClusterSimulator:
         )
         self.scheduler: Scheduler | None = None
         self.training: GangTrainingRun | None = None
-        self._workload_jobs = []
+        self._ran = False
         if train is not None:
             # Lazy import: repro.train builds on repro.sim, so the
             # simulator cannot import it at module scope.
@@ -214,24 +214,31 @@ class ClusterSimulator:
             self.scheduler = Scheduler(
                 self.engine, self.cluster, checkpoint_policy
             )
-            generator = WorkloadGenerator(workload, seed=seed + 1)
-            self._workload = generator
-            self._workload_config = workload
+            self._workload = WorkloadGenerator(workload, seed=seed + 1)
 
     def run(self, horizon_hours: float) -> SimulationReport:
         """Run the simulation and summarise it.
 
+        A simulator runs once: another call would start a second
+        failure stream on top of the first.
+
         Raises:
-            SimulationError: On a non-positive horizon.
+            SimulationError: On a non-positive horizon, or if this
+                simulator has already run.
         """
+        if self._ran:
+            raise SimulationError(
+                "this simulator has already run; build a new one"
+            )
         if horizon_hours <= 0:
             raise SimulationError(
                 f"horizon must be positive, got {horizon_hours}"
             )
+        self._ran = True
         if self.scheduler is not None:
-            jobs = self._workload.jobs_until(horizon_hours)
-            self._workload_jobs = jobs
-            self.scheduler.submit_all(jobs)
+            self.scheduler.submit_all(
+                self._workload.jobs_until(horizon_hours)
+            )
         if self.training is not None:
             # Start the gang before the injector so its t=0 submission
             # precedes the first failure in event-insertion order.

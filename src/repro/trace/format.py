@@ -511,10 +511,20 @@ def _reject_constant(name: str):
     raise json.JSONDecodeError(f"{name} is not allowed", name, 0)
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if math.isfinite(value):
+        return value
+    raise json.JSONDecodeError(f"{text} is out of range", text, 0)
+
+
 #: The one decoder traces are read with: the default one, except that
-#: ``NaN``, ``Infinity`` and ``-Infinity`` are errors, as they are for
-#: the canonical encoder.
-_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+#: ``NaN``, ``Infinity``, ``-Infinity`` and number literals that
+#: overflow to an infinity (``1e999``) are errors, as they are for the
+#: canonical encoder.
+_DECODER = json.JSONDecoder(
+    parse_constant=_reject_constant, parse_float=_finite_float
+)
 _scan_once = _DECODER.scan_once
 
 
@@ -565,9 +575,11 @@ def parse_trace(
             or invalid header, or an unsupported schema version.  A
             bad *header* always raises — without it nothing else in
             the file is interpretable.  A line holding ``NaN``,
-            ``Infinity`` or ``-Infinity`` is malformed, and the
-            header's ``horizon_hours`` must be a finite number that
-            is not a bool.
+            ``Infinity``, ``-Infinity`` or a number that overflows to
+            an infinity is malformed, as is one whose ``"t"`` is not a
+            string naming a line type, and the header's
+            ``horizon_hours`` must be a finite number that is not a
+            bool.
     """
     if on_error not in ("raise", "quarantine"):
         raise TraceError(
@@ -644,7 +656,7 @@ def parse_trace(
             report = {k: v for k, v in obj.items() if k != "t"}
         elif kind == "end":
             end = {k: v for k, v in obj.items() if k != "t"}
-        elif kind in EVENT_KINDS:
+        elif isinstance(kind, str) and kind in EVENT_KINDS:
             required = _EVENT_KEYS[kind]
             if obj.keys() >= required:
                 events.append(obj)

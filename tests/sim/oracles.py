@@ -285,6 +285,12 @@ class NodeObjectCluster:
             )
         return self._available[index]
 
+    def random_node(self, uniform: float) -> int:
+        count = self.num_available()
+        if count:
+            return self.available_at(int(uniform * count))
+        return int(uniform * self.num_nodes)
+
     def _mark_unavailable(self, node_id: int) -> None:
         slot = self._available_slot[node_id]
         last = self._available[-1]

@@ -248,6 +248,9 @@ _OPS = st.lists(
         st.tuples(st.just("start"), _ANY_NODE),
         st.tuples(st.just("complete"), _ANY_NODE),
         st.tuples(st.just("available_at"), st.integers(-2, 12)),
+        st.tuples(
+            st.just("random_node"), st.floats(0.0, 1.0, exclude_max=True)
+        ),
         st.tuples(st.just("node"), _ANY_NODE),
     ),
     max_size=50,
@@ -276,7 +279,9 @@ class TestMatchesNodeObjectCluster:
             assert _outcome(getattr(fast, name), *call_args) == _outcome(
                 getattr(slow, name), *call_args
             )
-            if action != "available_at" and 0 <= args[0] < fast.num_nodes:
+            if action in ("fail", "start", "complete", "node") and (
+                0 <= args[0] < fast.num_nodes
+            ):
                 touched.add(args[0])
             for node_id in touched:
                 assert fast.node(node_id) == slow.node(node_id)
@@ -284,6 +289,17 @@ class TestMatchesNodeObjectCluster:
                     node_id
                 )
             assert _aggregates(fast, horizon) == _aggregates(slow, horizon)
+
+    def test_random_node_covers_healthy_then_whole_fleet(self, cluster):
+        cluster.fail(0, "GPU", time=1.0)
+        healthy = cluster.available_nodes()
+        draws = [(i + 0.5) / len(healthy) for i in range(len(healthy))]
+        assert sorted(map(cluster.random_node, draws)) == healthy
+        for node_id in healthy:
+            cluster.fail(node_id, "GPU", time=2.0)
+        assert cluster.num_available() == 0
+        assert cluster.random_node(0.0) == 0
+        assert cluster.random_node(0.9999) == cluster.num_nodes - 1
 
     def test_node_returns_a_snapshot(self, cluster):
         before = cluster.node(3)

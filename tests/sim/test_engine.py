@@ -135,6 +135,20 @@ class TestRunning:
         assert fired == [1]
         assert engine.pending == 1
 
+    def test_close_drops_pending_events_and_subscribers(self):
+        engine = SimulationEngine()
+        fired = []
+        engine.schedule_at(5.0, lambda: fired.append("event"))
+        engine.subscribe("repair", lambda *args: fired.append("repair"))
+        repair_subscribers = engine.subscribers("repair")
+        engine.close()
+        assert engine.pending == 0
+        assert repair_subscribers == []
+        assert all(not engine.subscribers(t) for t in TOPICS)
+        engine.run_until(10.0)
+        assert fired == []
+        assert engine.now == 10.0
+
     def test_event_exactly_at_horizon_fires(self):
         engine = SimulationEngine()
         fired = []

@@ -113,6 +113,24 @@ class TestRepairFlow:
         waits = sorted(i.waiting_hours for i in cluster.history)
         assert waits == pytest.approx([0.0, 10.0])
 
+    @pytest.mark.parametrize("lead_time", [0.0, 30.0])
+    def test_back_orders_are_repaired_in_submit_order(self, lead_time):
+        engine, cluster, service, pool = _service(
+            technicians=1, spares={"GPU": 0}, lead_time=lead_time
+        )
+        for step, node in enumerate((5, 2, 9, 1)):
+            engine.run_until(float(step))
+            cluster.fail(node, "GPU", time=engine.now)
+            service.submit(node, "GPU", duration_hours=3.0)
+        assert service.waiting_for_spares == (4 if lead_time else 1)
+        engine.run_until(lead_time + 100.0)
+        assert [i.node_id for i in cluster.history] == [5, 2, 9, 1]
+        assert [i.repair_started_at for i in cluster.history] == (
+            pytest.approx([lead_time + 3.0 * k for k in range(4)])
+        )
+        assert service.waiting_for_spares == 0
+        assert pool.stockouts == 4
+
     def test_consumed_spare_replenishes_after_lead_time(self):
         engine, cluster, service, pool = _service(
             spares={"GPU": 1}, lead_time=30.0

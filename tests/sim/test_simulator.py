@@ -33,6 +33,22 @@ class TestClusterSimulator:
         assert a.failures_injected == b.failures_injected
         assert a.effective_mttr_hours == b.effective_mttr_hours
 
+    def test_run_is_one_shot(self):
+        simulator = ClusterSimulator("tsubame2", seed=1)
+        first = simulator.run(1000.0)
+        with pytest.raises(SimulationError, match="already run"):
+            simulator.run(2000.0)
+        # The refused call left the first run's state alone.
+        assert simulator.injector.injected_count == first.failures_injected
+        assert simulator.engine.now == 1000.0
+
+    def test_rejected_horizon_does_not_use_up_the_run(self):
+        simulator = ClusterSimulator("tsubame2", seed=1)
+        with pytest.raises(SimulationError, match="horizon"):
+            simulator.run(0.0)
+        fresh = ClusterSimulator("tsubame2", seed=1).run(2000.0)
+        assert simulator.run(2000.0) == fresh
+
     def test_failure_rate_near_profile(self):
         report = ClusterSimulator("tsubame2", seed=0).run(3000.0)
         # ~15.3 h MTBF => ~196 failures over 3000 h.

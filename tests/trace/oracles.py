@@ -7,6 +7,7 @@ formulation whose outputs the package must still reproduce exactly.
 from __future__ import annotations
 
 import json
+import math
 
 from repro.errors import TraceError
 from repro.trace.format import (
@@ -71,13 +72,22 @@ def compare_traces_by_lines(
     return None
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise json.JSONDecodeError(f"{text} is out of range", text, 0)
+    return value
+
+
 def parse_trace_json_loads(
     text: str, *, on_error: str = "raise"
 ) -> tuple[Trace, list[QuarantinedLine]]:
     """:func:`repro.trace.parse_trace` decoding each line with
     ``json.loads``, which accepts ``NaN``, ``Infinity`` and
     ``-Infinity``, and accepting any int or float horizon (``true``
-    included)."""
+    included).  Like ``parse_trace``, it rejects number literals that
+    overflow to an infinity and reads a line whose ``"t"`` is not a
+    string as an unknown type."""
     if on_error not in ("raise", "quarantine"):
         raise TraceError(
             f"on_error must be 'raise' or 'quarantine', got {on_error!r}"
@@ -100,7 +110,7 @@ def parse_trace_json_loads(
         if not line:
             continue
         try:
-            obj = json.loads(line)
+            obj = json.loads(line, parse_float=_finite_float)
         except json.JSONDecodeError as exc:
             if header is None:
                 raise TraceError(
@@ -149,7 +159,7 @@ def parse_trace_json_loads(
             report = {k: v for k, v in obj.items() if k != "t"}
         elif kind == "end":
             end = {k: v for k, v in obj.items() if k != "t"}
-        elif kind in EVENT_KINDS:
+        elif isinstance(kind, str) and kind in EVENT_KINDS:
             missing = _EVENT_KEYS[kind] - obj.keys()
             if missing:
                 bad(

@@ -7,6 +7,9 @@ divergence or :class:`TraceError`, and the same trace, quarantine
 list and error.  The one documented difference is reading: ``NaN``,
 ``Infinity`` and ``-Infinity`` and a bool or non-finite horizon are
 rejected (``tests/trace/test_format.py::TestNonFiniteRejectedOnRead``).
+Both read a number literal that overflows to an infinity as malformed
+JSON and a line whose ``"t"`` is not a string as an unknown type
+(``tests/trace/test_format.py::TestMalformedEventValuesRejectedOnRead``).
 """
 
 from __future__ import annotations
@@ -335,6 +338,9 @@ _ODD_LINES = st.sampled_from(
         '{"t":"jdone","time":1.5,"job":2,"extra":[1,2]}',
         '{"t":"jdone","time":1.5,"job":2,"job":3}',
         '{"t":"jdone","time":1e999,"job":2}',
+        '{"t":"fail","cat":"GPU","gpus":[-1e999],"node":1,"time":1.5,'
+        '"ttr":2.0}',
+        '{"t":{"fail":1},"time":1.5}',
         '{"t":"jdone", "time":1.5 ,"job":2}',
         '{"t":"jdone","time":1.5,"job":"\\ud800"}',
         '{"t":"jdone","time":NaN,"job":2}',

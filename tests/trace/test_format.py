@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import math
+import re
 
 import numpy as np
 import pytest
@@ -306,6 +308,88 @@ class TestNonFiniteRejectedOnRead:
         path.write_text(text)
         with pytest.raises(TraceError, match="NaN is not allowed"):
             read_trace(path)
+
+
+class TestMalformedEventValuesRejectedOnRead:
+    """A number literal that overflows to an infinity, and a ``"t"``
+    that is not a string, make a line malformed in both modes."""
+
+    OVERFLOWS = ["1e999", "-1e999", "1" + "0" * 400 + ".5"]
+
+    @pytest.mark.parametrize("literal", OVERFLOWS, ids=["e", "-e", "long"])
+    def test_overflowing_time_raises_naming_the_line(
+        self, headless_trace, literal
+    ):
+        text, number = TestNonFiniteRejectedOnRead.with_fail_time(
+            headless_trace, literal
+        )
+        with pytest.raises(TraceError) as caught:
+            parse_trace(text)
+        assert str(caught.value) == (
+            f"trace line {number}: not valid JSON "
+            f"({literal} is out of range)"
+        )
+
+    @pytest.mark.parametrize("literal", OVERFLOWS, ids=["e", "-e", "long"])
+    def test_overflowing_time_quarantined(self, headless_trace, literal):
+        text, number = TestNonFiniteRejectedOnRead.with_fail_time(
+            headless_trace, literal
+        )
+        trace, quarantined = parse_trace(text, on_error="quarantine")
+        assert [(q.line_number, q.reason) for q in quarantined] == [
+            (number, f"not valid JSON ({literal} is out of range)")
+        ]
+        assert len(trace.events) == len(headless_trace.events) - 1
+        assert all(
+            math.isfinite(event["time"]) for event in trace.events
+        )
+
+    def test_overflow_inside_a_list_is_malformed(self, headless_trace):
+        lines = headless_trace.dumps().splitlines()
+        index = next(
+            i for i, line in enumerate(lines) if '"t":"fail"' in line
+        )
+        lines[index] = re.sub(r'"gpus":\[[^]]*\]', '"gpus":[1e400]',
+                              lines[index])
+        assert "1e400" in lines[index]
+        _, quarantined = parse_trace(
+            "\n".join(lines), on_error="quarantine"
+        )
+        assert [q.line_number for q in quarantined] == [index + 1]
+
+    def test_read_trace_raises_trace_error_not_simulation_error(
+        self, tmp_path, headless_trace
+    ):
+        # Read without this check, the infinite time reaches the engine
+        # and replay fails with SimulationError instead.
+        text, _ = TestNonFiniteRejectedOnRead.with_fail_time(
+            headless_trace, "1e999"
+        )
+        path = tmp_path / "overflow.jsonl"
+        path.write_text(text)
+        with pytest.raises(TraceError, match="1e999 is out of range"):
+            read_trace(path)
+
+    @pytest.mark.parametrize(
+        "kind", ['["fail"]', '{"a":1}', "3", "null"]
+    )
+    def test_non_string_type_raises_trace_error(self, headless_trace, kind):
+        lines = headless_trace.dumps().splitlines()
+        lines.insert(1, f'{{"t":{kind},"time":1.5}}')
+        with pytest.raises(TraceError, match="trace line 2: unknown event"):
+            parse_trace("\n".join(lines))
+
+    @pytest.mark.parametrize("kind", ['["fail"]', '{"a":1}'])
+    def test_non_string_type_quarantined(self, headless_trace, kind):
+        lines = headless_trace.dumps().splitlines()
+        lines.insert(1, f'{{"t":{kind},"time":1.5}}')
+        trace, quarantined = parse_trace(
+            "\n".join(lines), on_error="quarantine"
+        )
+        assert [(q.line_number, q.reason) for q in quarantined] == [
+            (2, f"unknown event type {json.loads(kind)!r}")
+        ]
+        assert trace.events == headless_trace.events
 
 
 class TestReadWrite:

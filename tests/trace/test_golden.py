@@ -1,21 +1,28 @@
 """Golden-trace regression corpus.
 
 Each committed trace under ``golden/`` must replay bit-exactly with
-the current code.  A failure here means some component made a
-decision differently than when the corpus was recorded — a semantic
-regression even when every unit test passes.  If the change is
-*intentional* (schema bump, deliberate sim change), regenerate with::
+the current code, and recording its scenario afresh must write the
+same lines.  Replay never draws from the fault injector's RNG, so only
+the second check pins the injector's draw order.  A failure here means
+some component made a decision differently than when the corpus was
+recorded — a semantic regression even when every unit test passes.
+If the change is *intentional* (schema bump, deliberate sim change),
+regenerate with::
 
     PYTHONPATH=src python tests/trace/golden/regen.py
 """
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
-from repro.trace import read_trace, replay
+from repro.sim import ClusterSimulator
+from repro.trace import read_trace, record_run, replay
 
 from tests.trace.conftest import GOLDEN_DIR
+from tests.trace.golden.regen import SCENARIOS
 
 GOLDEN_NAMES = ("a100_train", "t2_baseline", "t2_burst", "t3_workload")
 
@@ -26,6 +33,29 @@ def test_golden_replays_bit_exactly(name):
     assert not quarantined
     result = replay(trace)
     assert result.bit_exact
+
+
+def _without_wall_time(line: str) -> str:
+    """The line, minus the ``end`` line's ``wall_s`` (a wall-clock
+    measurement, different on every run)."""
+    obj = json.loads(line)
+    if obj.get("t") == "end":
+        del obj["wall_s"]
+        return json.dumps(obj, sort_keys=True)
+    return line
+
+
+@pytest.mark.parametrize("name", GOLDEN_NAMES)
+def test_golden_records_afresh_line_for_line(name):
+    scenario = SCENARIOS[name]
+    simulator = ClusterSimulator(scenario["machine"], **scenario["kwargs"])
+    _, trace = record_run(simulator, scenario["horizon"])
+    fresh = trace.dumps().splitlines()
+    golden = (GOLDEN_DIR / f"{name}.jsonl").read_text().splitlines()
+    assert [_without_wall_time(line) for line in fresh] == [
+        _without_wall_time(line) for line in golden
+    ]
+    assert sum('"t":"end"' in line for line in golden) == 1
 
 
 def test_legacy_presample_false_header_replays(tmp_path):
@@ -45,7 +75,7 @@ def test_legacy_presample_false_header_replays(tmp_path):
 
 def test_corpus_is_complete():
     found = {p.stem for p in GOLDEN_DIR.glob("*.jsonl")}
-    assert found == set(GOLDEN_NAMES)
+    assert found == set(GOLDEN_NAMES) == set(SCENARIOS)
 
 
 def test_burst_scenario_contains_multi_gpu_failures():

@@ -76,3 +76,23 @@ class TestTraceSource:
         times = [event.time_hours for event in source]
         assert len(times) == len(headless_trace.failures) - 1
         assert all(math.isfinite(time) for time in times)
+
+    def test_overflowing_time_is_quarantined_not_streamed(
+        self, tmp_path, headless_trace
+    ):
+        lines = headless_trace.dumps().splitlines()
+        index = next(
+            i for i, line in enumerate(lines) if '"t":"fail"' in line
+        )
+        lines[index] = re.sub(
+            r'"time":[^,}]+', '"time":1e999', lines[index]
+        )
+        path = tmp_path / "overflow.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(TraceError, match="1e999 is out of range"):
+            TraceSource(path)
+        source = TraceSource(path, on_error="quarantine")
+        assert [q.line_number for q in source.quarantined] == [index + 1]
+        times = [event.time_hours for event in source]
+        assert len(times) == len(headless_trace.failures) - 1
+        assert all(math.isfinite(time) for time in times)
