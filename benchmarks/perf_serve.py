@@ -14,6 +14,13 @@ takes) and measures the three properties ``docs/SERVING.md`` promises:
   coalescing factor N/executions.
 * **sustained cached throughput** — concurrent clients hammering a
   warm analysis endpoint, reported as requests per second.
+* **cold uploads** — ``POST /datasets/{name}?format=csv`` of distinct
+  1x Tsubame-2 bodies, reported as the median latency, plus
+  ``records_built``: the records the uploaded logs hold once
+  registered, 0 when every upload stays lazy (parsed and fingerprinted
+  from its columns).  The frozen ``before_columnar_fingerprint`` block
+  holds the median as last measured when ``fingerprint_log`` built
+  every record.
 
 Writes ``BENCH_serve.json`` at the repo root next to
 ``BENCH_core.json``/``BENCH_sim.json``.
@@ -36,10 +43,12 @@ import json
 import os
 import platform
 import statistics
+import tempfile
 import threading
 import time
 from pathlib import Path
 
+from repro.io import write_csv
 from repro.serve import DatasetRegistry, ReproApp, run_in_thread
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -51,6 +60,23 @@ CACHED_SAMPLES = 30
 DEFAULT_REPLICATIONS = 4
 DEFAULT_CLIENTS = 8
 DEFAULT_REQUESTS_PER_CLIENT = 50
+UPLOAD_SAMPLES = 30
+
+#: The ``upload`` median as last measured with ``fingerprint_log``
+#: building every record of the uploaded log.
+UPLOAD_BEFORE = {
+    "note": (
+        "record-built fingerprint_log: this section of the current "
+        "perf_serve.py run on the previous registry, median of seven "
+        "runs alternating with the current registry's, pinned to one "
+        "CPU of a shared 2-CPU host (Python 3.11.7, NumPy 2.4.6); not "
+        "re-measured"
+    ),
+    "uploads": 30,
+    "rows_per_upload": 896,
+    "median_ms": 5.859611999767367,
+    "records_built": 26880,
+}
 
 
 def _env_int(name: str, default: int) -> int:
@@ -234,6 +260,40 @@ def _bench_sustained(
     }
 
 
+def _bench_upload(app: ReproApp, port: int) -> dict:
+    """Cold CSV uploads of distinct 1x Tsubame-2 bodies.
+
+    Body ``k`` drops row ``k`` of the calibrated log, so every upload
+    is new content with a new fingerprint.
+    """
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t2.csv"
+        write_csv(app.registry.get("t2").log, path)
+        lines = path.read_text().splitlines(keepends=True)
+    head, rows = "".join(lines[:4]), lines[4:]  # metadata + header
+    latencies: list[float] = []
+    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=120)
+    try:
+        for k in range(UPLOAD_SAMPLES):
+            body = (head + "".join(rows[:k] + rows[k + 1:])).encode()
+            start = time.perf_counter()
+            conn.request("POST", f"/datasets/upload{k}?format=csv", body)
+            response = conn.getresponse()
+            response.read()
+            latencies.append(time.perf_counter() - start)
+            assert response.status == 201, response.status
+    finally:
+        conn.close()
+    logs = [app.registry.get(f"upload{k}").log for k in range(UPLOAD_SAMPLES)]
+    return {
+        "uploads": UPLOAD_SAMPLES,
+        "rows_per_upload": len(rows) - 1,
+        "median_ms": statistics.median(latencies) * 1e3,
+        "records_built": sum(0 if log._lazy else len(log) for log in logs),
+        "before_columnar_fingerprint": UPLOAD_BEFORE,
+    }
+
+
 def run_benchmark() -> dict:
     replications = _env_int(
         "REPRO_BENCH_SERVE_REPLICATIONS", DEFAULT_REPLICATIONS
@@ -251,6 +311,7 @@ def run_benchmark() -> dict:
         sustained = _bench_sustained(
             handle.port, clients, requests_per_client
         )
+        upload = _bench_upload(app, handle.port)
         stats = app.stats.snapshot()
     return {
         "schema": 1,
@@ -260,6 +321,7 @@ def run_benchmark() -> dict:
         "latency": latency,
         "coalescing": coalescing,
         "sustained": sustained,
+        "upload": upload,
         "server_totals": {
             "requests_total": stats["requests_total"],
             "errors_5xx": stats["errors_5xx"],
@@ -297,6 +359,15 @@ def main() -> None:
         f"{sustained['requests_per_s']:,.0f} req/s "
         f"(p50 {sustained['p50_ms']:.2f} ms, "
         f"p99 {sustained['p99_ms']:.2f} ms)"
+    )
+    upload = results["upload"]
+    before = upload["before_columnar_fingerprint"]
+    print(
+        f"upload: {upload['uploads']} cold CSV uploads of "
+        f"{upload['rows_per_upload']} rows, median "
+        f"{upload['median_ms']:.2f} ms (record-built fingerprint "
+        f"{before['median_ms']:.2f} ms), records built "
+        f"{upload['records_built']}"
     )
     path = write_report(results)
     print(f"wrote {path}")

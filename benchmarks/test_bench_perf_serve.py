@@ -4,7 +4,8 @@ Runs the full :mod:`perf_serve` benchmark against a live server,
 writes ``BENCH_serve.json``, and asserts the invariants that must
 never regress: cached repeat queries are >= 10x faster than the cold
 miss (and byte-identical), and N identical concurrent requests
-trigger exactly **one** backend execution.
+trigger exactly **one** backend execution.  Uploaded CSV logs stay
+lazy: registering one builds no record.
 """
 
 import json
@@ -49,6 +50,21 @@ def test_sustained_cached_throughput_positive(results):
     assert sustained["p50_ms"] <= sustained["p99_ms"]
 
 
+def test_uploads_build_no_records(results):
+    upload = results["upload"]
+    assert upload["records_built"] == 0, upload
+    assert upload["median_ms"] > 0.0
+
+
+def test_upload_before_block_is_frozen(results):
+    before = results["upload"]["before_columnar_fingerprint"]
+    assert before == perf_serve.UPLOAD_BEFORE
+    assert "not re-measured" in before["note"]
+    assert before["rows_per_upload"] == (
+        results["upload"]["rows_per_upload"]
+    )
+
+
 def test_server_survived_without_errors(results):
     totals = results["server_totals"]
     assert totals["errors_5xx"] == 0
@@ -58,5 +74,6 @@ def test_server_survived_without_errors(results):
         + results["latency"]["cached_samples"]
         + results["coalescing"]["concurrent_requests"]
         + results["sustained"]["total_requests"]
+        + results["upload"]["uploads"]
     )
     assert totals["requests_total"] >= expected_minimum

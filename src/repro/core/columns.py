@@ -76,6 +76,7 @@ __all__ = [
     "columns_from_arrays",
     "datetimes_to_us",
     "us_to_datetime",
+    "us_to_isoformat",
     "CLASS_CODES",
     "CLASS_BY_CODE",
 ]
@@ -118,6 +119,15 @@ def datetimes_to_us(stamps: Sequence[datetime]) -> np.ndarray:
 def us_to_datetime(us: int) -> datetime:
     """Inverse of :func:`datetimes_to_us` for one value."""
     return _EPOCH + timedelta(microseconds=int(us))
+
+
+def us_to_isoformat(ts_us: np.ndarray) -> list[str]:
+    """``us_to_datetime(us).isoformat()`` of every value, vectorised.
+
+    Whole seconds drop the ``.000000`` fraction, as ``isoformat`` does.
+    """
+    text = np.datetime_as_string(ts_us.astype("datetime64[us]"), unit="us")
+    return np.where(ts_us % 1_000_000 == 0, text.astype("U19"), text).tolist()
 
 
 @dataclass(frozen=True)

@@ -838,12 +838,11 @@ def _parse_log_body(
     """Parse an uploaded log body by spooling it through a temp file
     (the io readers are path-based)."""
     suffix = ".csv" if format == "csv" else ".jsonl"
-    with tempfile.NamedTemporaryFile(
-        suffix=suffix, delete=False
-    ) as handle:
-        handle.write(body)
-        path = Path(handle.name)
+    handle = tempfile.NamedTemporaryFile(suffix=suffix, delete=False)
+    path = Path(handle.name)
     try:
+        with handle:
+            handle.write(body)
         return read_log(path, format=format, on_error=on_error)
     finally:
         path.unlink(missing_ok=True)

@@ -28,6 +28,7 @@ from datetime import datetime
 from pathlib import Path
 from typing import Any, Callable
 
+from repro.core.columns import us_to_isoformat
 from repro.core.records import FailureLog
 from repro.errors import ServeError, ValidationError
 from repro.io import read_log
@@ -50,13 +51,37 @@ def fingerprint_log(log: FailureLog) -> str:
 
     Hashes the machine, observation window, and every record field, so
     two logs fingerprint equal iff they carry the same data — however
-    they were loaded.
+    they were loaded.  A lazy log's records are
+    ``records_from_view(view)``, so its rows are formatted from the
+    view's columns, byte for byte, without building a record.
     """
     digest = hashlib.sha256()
     digest.update(
         f"{log.machine}|{log.window_start.isoformat()}"
         f"|{log.window_end.isoformat()}|{len(log)}\n".encode()
     )
+    if log._lazy:
+        view = log.columns
+        loci = (*view.locus_names, None)  # code -1 picks the trailing None
+        bounds = view.slot_offsets.tolist()
+        slots = view.slot_values.tolist()
+        gpus = [  # sorted, as FailureRecord stores them
+            "()" if a == b else str(tuple(sorted(slots[a:b])))
+            for a, b in zip(bounds, bounds[1:])
+        ]
+        rows = zip(
+            view.record_ids.tolist(),
+            us_to_isoformat(view.ts_us),
+            view.node_ids.tolist(),
+            map(view.category_names.__getitem__, view.category_codes.tolist()),
+            view.ttr_hours.tolist(),
+            gpus,
+            map(loci.__getitem__, view.locus_codes.tolist()),
+        )
+        digest.update(
+            "".join(map("%s|%s|%s|%s|%r|%s|%s\n".__mod__, rows)).encode()
+        )
+        return digest.hexdigest()
     for record in log:
         digest.update(
             f"{record.record_id}|{record.timestamp.isoformat()}"

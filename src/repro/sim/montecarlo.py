@@ -162,21 +162,13 @@ class _ReplicationTask:
 
 
 def _run_replication(task: _ReplicationTask) -> SimulationReport:
-    """Worker entry point: one seeded simulation, report only.
-
-    The engine is closed afterwards, so reference counting alone frees
-    the replication.
-    """
-    simulator = ClusterSimulator(
+    """Worker entry point: one seeded simulation, report only."""
+    return ClusterSimulator(
         task.machine,
         seed=task.seed,
         keep_injected_log=False,
         **dict(task.simulator_kwargs),
-    )
-    try:
-        return simulator.run(task.horizon_hours)
-    finally:
-        simulator.engine.close()
+    ).run(task.horizon_hours)
 
 
 class _MetricFold:

@@ -235,39 +235,11 @@ class ClusterSimulator:
                 f"horizon must be positive, got {horizon_hours}"
             )
         self._ran = True
-        if self.scheduler is not None:
-            self.scheduler.submit_all(
-                self._workload.jobs_until(horizon_hours)
-            )
-        if self.training is not None:
-            # Start the gang before the injector so its t=0 submission
-            # precedes the first failure in event-insertion order.
-            self.training.start()
-        self.injector.start()
-        self.engine.run_until(horizon_hours)
-        repairs = self.cluster.repairs_completed
-        return SimulationReport(
-            machine=self._spec.name,
-            horizon_hours=horizon_hours,
-            failures_injected=self.injector.injected_count,
-            repairs_completed=repairs,
-            effective_mttr_hours=(
-                self.cluster.effective_mttr_hours() if repairs else 0.0
-            ),
-            mean_waiting_hours=(
-                self.cluster.mean_waiting_hours() if repairs else 0.0
-            ),
-            availability=self.cluster.availability(horizon_hours),
-            spare_stockouts=self.spares.stockouts,
-            spares_consumed=self.spares.consumed,
-            scheduler=(
-                self.scheduler.stats if self.scheduler is not None else None
-            ),
-            train=(
-                self.training.finalize(horizon_hours)
-                if self.training is not None else None
-            ),
+        jobs = (
+            self._workload.jobs_until(horizon_hours)
+            if self.scheduler is not None else ()
         )
+        return run_wired(self, horizon_hours, jobs)
 
     def injected_log(self) -> FailureLog:
         """Failures injected during the run, as an analyzable log."""
@@ -288,3 +260,51 @@ class ClusterSimulator:
         from repro.store import ingest_log
 
         return ingest_log(path, self.injected_log(), reindex=reindex)
+
+
+def run_wired(sim, horizon_hours: float, jobs) -> SimulationReport:
+    """Run a wired simulator's one run to ``horizon_hours`` and
+    summarise it, then close its engine.
+
+    Shared by :class:`ClusterSimulator` and
+    :class:`repro.trace.replay.ReplaySimulator`, which wire the same
+    components.  The components hold the engine while its queue and
+    subscriber lists hold theirs; closing the engine once the report is
+    built leaves no reference cycle, so reference counting frees the
+    run.
+    """
+    try:
+        if sim.scheduler is not None:
+            sim.scheduler.submit_all(jobs)
+        if sim.training is not None:
+            # Start the gang before the injector so its t=0 submission
+            # precedes the first failure in event-insertion order.
+            sim.training.start()
+        sim.injector.start()
+        sim.engine.run_until(horizon_hours)
+        cluster = sim.cluster
+        repairs = cluster.repairs_completed
+        return SimulationReport(
+            machine=sim._spec.name,
+            horizon_hours=horizon_hours,
+            failures_injected=sim.injector.injected_count,
+            repairs_completed=repairs,
+            effective_mttr_hours=(
+                cluster.effective_mttr_hours() if repairs else 0.0
+            ),
+            mean_waiting_hours=(
+                cluster.mean_waiting_hours() if repairs else 0.0
+            ),
+            availability=cluster.availability(horizon_hours),
+            spare_stockouts=sim.spares.stockouts,
+            spares_consumed=sim.spares.consumed,
+            scheduler=(
+                sim.scheduler.stats if sim.scheduler is not None else None
+            ),
+            train=(
+                sim.training.finalize(horizon_hours)
+                if sim.training is not None else None
+            ),
+        )
+    finally:
+        sim.engine.close()

@@ -29,7 +29,11 @@ from repro.sim.engine import SimulationEngine
 from repro.sim.jobs import Job
 from repro.sim.repair import RepairPolicy, RepairService, SparePool
 from repro.sim.scheduler import Scheduler
-from repro.sim.simulator import SimulationConfig, SimulationReport
+from repro.sim.simulator import (
+    SimulationConfig,
+    SimulationReport,
+    run_wired,
+)
 from repro.trace.format import Trace, canonical_line, is_plain_event
 from repro.trace.recorder import TraceRecorder
 
@@ -268,39 +272,7 @@ class ReplaySimulator:
                 "per replay"
             )
         self._ran = True
-        horizon_hours = self._trace.horizon_hours
-        if self.scheduler is not None:
-            self.scheduler.submit_all(self._jobs)
-        if self.training is not None:
-            # Same insertion order as ClusterSimulator: the gang's t=0
-            # submission precedes the first failure.
-            self.training.start()
-        self.injector.start()
-        self.engine.run_until(horizon_hours)
-        repairs = self.cluster.repairs_completed
-        return SimulationReport(
-            machine=self._spec.name,
-            horizon_hours=horizon_hours,
-            failures_injected=self.injector.injected_count,
-            repairs_completed=repairs,
-            effective_mttr_hours=(
-                self.cluster.effective_mttr_hours() if repairs else 0.0
-            ),
-            mean_waiting_hours=(
-                self.cluster.mean_waiting_hours() if repairs else 0.0
-            ),
-            availability=self.cluster.availability(horizon_hours),
-            spare_stockouts=self.spares.stockouts,
-            spares_consumed=self.spares.consumed,
-            scheduler=(
-                self.scheduler.stats if self.scheduler is not None else None
-            ),
-            train=(
-                self.training.finalize(horizon_hours)
-                if self.training is not None
-                else None
-            ),
-        )
+        return run_wired(self, self._trace.horizon_hours, self._jobs)
 
     def injected_log(self) -> FailureLog:
         """Failures replayed during the run, as an analyzable log."""

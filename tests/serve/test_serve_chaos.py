@@ -10,8 +10,10 @@ dropped.
 
 from __future__ import annotations
 
+import errno
 import http.client
 import json
+import tempfile
 import threading
 
 import pytest
@@ -229,6 +231,45 @@ class TestCorruptedUploads:
                 handle.port, "GET", "/analyze/dirty/breakdown"
             )
             assert ok.status == 200
+
+    def test_failed_body_write_leaves_no_temp_file(
+        self, tmp_path, monkeypatch
+    ):
+        spool = tmp_path / "spool"
+        spool.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(spool))
+        real = tempfile.NamedTemporaryFile
+
+        def full_disk(*args, **kwargs):
+            handle = real(*args, **kwargs)
+
+            def write(data):
+                handle.file.write(data[: len(data) // 2])
+                handle.file.flush()
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+            handle.write = write
+            return handle
+
+        monkeypatch.setattr(tempfile, "NamedTemporaryFile", full_disk)
+        write_csv(small_log(), tmp_path / "clean.csv")
+        app = make_app()
+        with run_in_thread(app) as handle:
+            response = request(
+                handle.port,
+                "POST",
+                "/datasets/full?format=csv",
+                (tmp_path / "clean.csv").read_bytes(),
+            )
+            listing = json.loads(
+                request(handle.port, "GET", "/datasets").body
+            )
+        assert response.status == 500
+        error = json.loads(response.body)["error"]
+        assert error["type"] == "OSError"
+        assert "No space left" in error["message"]
+        assert [d["name"] for d in listing["datasets"]] == ["t2"]
+        assert list(spool.iterdir()) == []
 
     def test_unknown_on_error_mode_is_400(self, tmp_path):
         clean = tmp_path / "clean.csv"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import os
 import subprocess
 import sys
@@ -10,8 +11,14 @@ from pathlib import Path
 import pytest
 
 from repro.errors import ReplayDivergenceError, TraceError
-from repro.sim import ClusterSimulator
+from repro.sim import (
+    CheckpointPolicy,
+    ClusterSimulator,
+    WorkloadConfig,
+    young_daly_policy,
+)
 from repro.store import open_store
+from repro.train import TrainingJobConfig
 from repro.trace import (
     ReplaySimulator,
     compare_traces,
@@ -143,6 +150,56 @@ class TestReplaySimulator:
         assert summary["rows"] == len(headless_trace.failures)
         store = open_store(tmp_path / "store")
         assert len(store.log()) == len(headless_trace.failures)
+
+
+class TestNoReferenceCycles:
+    """``record_run`` and ``replay`` free their simulators by
+    reference counting: both runs close their engine once their report
+    is built, so nothing is left for the cyclic collector."""
+
+    @pytest.mark.parametrize(
+        "make_sim, horizon",
+        [
+            (
+                lambda: ClusterSimulator(
+                    "tsubame3",
+                    seed=11,
+                    intensity=3.0,
+                    health_test_effectiveness=0.5,
+                    workload=WorkloadConfig(),
+                    checkpoint_policy=CheckpointPolicy(6.0, 0.2),
+                ),
+                300.0,
+            ),
+            (
+                lambda: ClusterSimulator(
+                    "a100",
+                    seed=7,
+                    checkpoint_policy=young_daly_policy(0.1, 24.0),
+                    train=TrainingJobConfig(num_nodes=64),
+                ),
+                240.0,
+            ),
+        ],
+        ids=["tsubame3-workload", "a100-train-gang"],
+    )
+    def test_record_and_replay_leave_no_garbage(self, make_sim, horizon):
+        # A first pass fills the per-machine caches, whose construction
+        # may leave garbage once.
+        replay(record_run(make_sim(), horizon)[1])
+        gc.collect()
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            _, trace = record_run(make_sim(), horizon)
+            result = replay(trace)
+            unreachable = gc.collect()
+        finally:
+            if enabled:
+                gc.enable()
+        assert result.bit_exact
+        assert trace.events
+        assert unreachable == 0
 
 
 class TestCrossProcessDeterminism:
