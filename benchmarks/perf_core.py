@@ -15,6 +15,12 @@ model caps a single generated trace at the node count), this times:
 * ``read_csv`` of the tiled log — the columnar reader vs. the
   row-by-row oracle in ``tests/io/oracles.py``, after asserting both
   give equal logs — plus the first-touch cost of the lazy records,
+* the ``report`` tier: ``full_report`` plus the five ``/analyze``
+  payloads over the tiled log read back from CSV (with the 1x
+  Tsubame-3 log), the exact number of ``ColumnarView.mask`` calls
+  they make, and the sha256 of their bytes, beside a frozen
+  ``before`` block measured while the per-category kernels built a
+  sub-log per category,
 
 and a 50-seed :func:`repro.parallel.sweep` (serial vs. 4 workers),
 then writes ``BENCH_core.json`` at the repo root so future PRs have a
@@ -28,6 +34,7 @@ Run::
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import os
 import platform
@@ -40,10 +47,14 @@ import numpy as np
 
 from repro.core import metrics, multigpu, seasonal, spatial, temporal
 from repro.core import taxonomy
+from repro.core.columns import ColumnarView
+from repro.core.payloads import PAYLOADS
 from repro.core.records import FailureLog
+from repro.core.report import full_report
 from repro.core.taxonomy import FailureClass
 from repro.io import read_csv, write_csv
 from repro.parallel import available_cpus, sweep
+from repro.serve.http import json_body
 from repro.synth import GeneratorConfig, generate_log
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -56,6 +67,48 @@ BENCH_SEED = 42
 SCALES = {"1x": 1, "10x": 10, "100x": 100}
 SWEEP_SEEDS = 50
 SWEEP_WORKERS = 4
+
+
+#: The ``report`` tier as last measured while ``ttr_by_category``,
+#: ``component_class_mtbf`` and ``software_root_loci`` built one
+#: sub-log (a ``ColumnarView.mask`` of every column) per category,
+#: the metrics went through Python lists and Figure 8 binned its
+#: events in a Python loop.  Frozen; never re-measured.
+REPORT_BEFORE = {
+    "note": (
+        "sub-log per category: this tier's code run against the "
+        "previous src, median of five best-of-3 runs alternating with the "
+        "grouped version's, measured once on 2 CPUs (Python 3.11.7, NumPy "
+        "2.4.6); not re-measured"
+    ),
+    "1x": {
+        "rows": 897,
+        "report_s": 0.03890041799968458,
+        "mask_calls": 73,
+        "report_sha256": "e17ddfceb244c089c1848547f89cb760"
+                         "4f4c9fafe044f1c92d19987b7574ab7a",
+        "payloads_sha256": "4b8398fdf3f5a12ba4455f7b2230f455"
+                           "b1d6869768c0d2c3a939d257962e5d11",
+    },
+    "10x": {
+        "rows": 8970,
+        "report_s": 0.06849280899950827,
+        "mask_calls": 73,
+        "report_sha256": "245f33b46368db2bad9121615164bfa5"
+                         "ad05c54fbcce69653a0df8961f7dc46a",
+        "payloads_sha256": "50ae51983b51026729f5286e5720cfcb"
+                           "69d408358ea454e890759648f816a125",
+    },
+    "100x": {
+        "rows": 89700,
+        "report_s": 0.35415536100117606,
+        "mask_calls": 73,
+        "report_sha256": "f41696204952689ef5600a9619edd519"
+                         "465fa94c7c15d882f928879bdc210ebd",
+        "payloads_sha256": "69717fe0d5f78ac6ca4bc5f22235ec67"
+                           "6818c17be2eeb7dd0c6722f02eb92fbc",
+    },
+}
 
 
 def _selected_scales() -> dict[str, int]:
@@ -300,7 +353,62 @@ def _bench_read(log: FailureLog) -> dict:
     }
 
 
-def _bench_scale(factor: int) -> dict:
+def _count_masks(fn):
+    """``fn()`` and the number of ``ColumnarView.mask`` calls it made."""
+    calls = 0
+    original = ColumnarView.mask
+
+    def counted(self, keep):
+        nonlocal calls
+        calls += 1
+        return original(self, keep)
+
+    ColumnarView.mask = counted
+    try:
+        result = fn()
+    finally:
+        ColumnarView.mask = original
+    return calls, result
+
+
+def _bench_report(label: str, log: FailureLog) -> dict:
+    """``full_report`` and the five payloads over CSV-read logs."""
+    t3 = generate_log("tsubame3", config=GeneratorConfig(seed=BENCH_SEED))
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [Path(tmp) / f"{each.machine}.csv" for each in (log, t3)]
+        for each, path in zip((log, t3), paths):
+            write_csv(each, path)
+        # Fresh logs for every pass, so no pass reuses another's work.
+        fresh = [[read_csv(path) for path in paths] for _ in range(4)]
+
+    def render(t2_log, t3_log):
+        text = full_report(t2_log, t3_log)
+        payloads = {name: fn(t2_log) for name, fn in PAYLOADS.items()}
+        return text.encode(), json_body(payloads)
+
+    mask_calls, (text, payloads) = _count_masks(lambda: render(*fresh[0]))
+    report_s = min(
+        _best_of(lambda: render(*logs), repeats=1)[0] for logs in fresh[1:]
+    )
+    before = REPORT_BEFORE[label]
+    report_sha256 = hashlib.sha256(text).hexdigest()
+    payloads_sha256 = hashlib.sha256(payloads).hexdigest()
+    return {
+        "rows": len(log),
+        "report_s": report_s,
+        "mask_calls": mask_calls,
+        "report_sha256": report_sha256,
+        "payloads_sha256": payloads_sha256,
+        "before": {"note": REPORT_BEFORE["note"], **before},
+        "speedup": before["report_s"] / report_s,
+        "same_bytes_as_before": (
+            report_sha256 == before["report_sha256"]
+            and payloads_sha256 == before["payloads_sha256"]
+        ),
+    }
+
+
+def _bench_scale(label: str, factor: int) -> dict:
     start = time.perf_counter()
     log = tiled_log(factor)
     build_s = time.perf_counter() - start
@@ -358,6 +466,7 @@ def _bench_scale(factor: int) -> dict:
         },
         "kernels": kernels,
         "read": _bench_read(log),
+        "report": _bench_report(label, log),
     }
 
 
@@ -401,7 +510,7 @@ def run_benchmark() -> dict:
         "python": platform.python_version(),
         "numpy": np.__version__,
         "scales": {
-            label: _bench_scale(factor)
+            label: _bench_scale(label, factor)
             for label, factor in _selected_scales().items()
         },
         "sweep": _bench_sweep(),
@@ -427,7 +536,9 @@ def main() -> None:
             f"filter chain {scale['filter_chain']['speedup']:.1f}x, "
             f"read_csv {scale['read']['columnar_s'] * 1e3:.1f} ms vs "
             f"row path {scale['read']['row_path_s'] * 1e3:.1f} ms "
-            f"({scale['read']['speedup']:.1f}x)"
+            f"({scale['read']['speedup']:.1f}x), "
+            f"report {scale['report']['report_s'] * 1e3:.1f} ms with "
+            f"{scale['report']['mask_calls']} mask calls"
         )
     sweep_result = results["sweep"]
     print(

@@ -4,7 +4,9 @@ Runs the full :mod:`perf_core` benchmark (1x/10x/100x paper scale plus
 the 50-seed sweep), writes ``BENCH_core.json``, and asserts the
 invariants that must never regress: the columnar chained-filter +
 analysis pass stays >= 10x faster than the pure-Python reference path
-at 100x scale, the fast path agrees with the reference output, and the
+at 100x scale, the fast path agrees with the reference output, the
+report tier makes exactly the counted ``ColumnarView.mask`` calls at
+1x and renders the same bytes as before at every scale, and the
 parallel sweep returns exactly the serial results.
 
 The >2x parallel-speedup criterion is asserted only when the machine
@@ -48,6 +50,23 @@ def test_read_tier_matches_row_oracle(results):
     for label, scale in results["scales"].items():
         assert scale["read"]["logs_equal"], label
         assert scale["read"]["rows"] == scale["records"], label
+
+
+#: ``ColumnarView.mask`` calls of one report plus the five payloads at
+#: 1x: Figure 5 filters each of the two logs to its GPU failures.
+REPORT_MASK_CALLS_1X = 2
+
+
+def test_report_tier_mask_calls_at_1x(results):
+    report = results["scales"]["1x"]["report"]
+    assert report["mask_calls"] == REPORT_MASK_CALLS_1X, report
+
+
+def test_report_tier_bytes_match_before(results):
+    for label, scale in results["scales"].items():
+        report = scale["report"]
+        assert report["rows"] == scale["records"], label
+        assert report["same_bytes_as_before"], label
 
 
 def test_filter_chain_beats_revalidation_at_scale(results):

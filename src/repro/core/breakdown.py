@@ -148,18 +148,20 @@ def software_root_loci(
     Raises:
         AnalysisError: If the log has no software failures.
     """
-    software = log.by_category(software_category)
-    if len(software) == 0:
+    cols = log.columns
+    loci = cols.locus_codes[
+        cols.category_codes == cols.code_of(software_category)
+    ]
+    if loci.size == 0:
         raise AnalysisError(
             f"log has no {software_category!r} failures to break down"
         )
-    cols = software.columns
     # Shift codes by one so "no locus" (-1) counts in bin 0.
     counts = _named_counts(
         ("unknown", *cols.locus_names),
-        np.bincount(cols.locus_codes + 1, minlength=len(cols.locus_names) + 1),
+        np.bincount(loci + 1, minlength=len(cols.locus_names) + 1),
     )
-    total = len(software)
+    total = int(loci.size)
     return RootLocusBreakdown(
         total_software=total,
         shares=_ranked_shares(

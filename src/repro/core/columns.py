@@ -75,6 +75,7 @@ __all__ = [
     "build_columns",
     "columns_from_arrays",
     "datetimes_to_us",
+    "group_rows",
     "us_to_datetime",
     "us_to_isoformat",
     "CLASS_CODES",
@@ -128,6 +129,20 @@ def us_to_isoformat(ts_us: np.ndarray) -> list[str]:
     """
     text = np.datetime_as_string(ts_us.astype("datetime64[us]"), unit="us")
     return np.where(ts_us % 1_000_000 == 0, text.astype("U19"), text).tolist()
+
+
+def group_rows(codes: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Group rows by an integer code in ``[0, size)`` in one pass.
+
+    Returns ``(order, bounds)``: ``order[bounds[c]:bounds[c + 1]]`` are
+    the rows with code ``c``.  The sort is stable, so each group keeps
+    row order — the rows, in the order, that the boolean mask
+    ``codes == c`` selects.
+    """
+    order = np.argsort(codes, kind="stable")
+    bounds = np.zeros(size + 1, dtype=np.int64)
+    np.cumsum(np.bincount(codes, minlength=size), out=bounds[1:])
+    return order, bounds
 
 
 @dataclass(frozen=True)

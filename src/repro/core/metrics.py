@@ -44,6 +44,14 @@ _PFLOPS_TO_FLOPS = 1e15
 _SECONDS_PER_HOUR = 3600.0
 
 
+def _tbf(log: FailureLog) -> np.ndarray:
+    if len(log) < 2:
+        raise AnalysisError(
+            f"TBF needs at least 2 failures, log has {len(log)}"
+        )
+    return np.diff(log.columns.ts_hours)
+
+
 def tbf_series_hours(log: FailureLog) -> list[float]:
     """Return the time-between-failures series of a log, in hours.
 
@@ -54,11 +62,7 @@ def tbf_series_hours(log: FailureLog) -> list[float]:
     Raises:
         AnalysisError: If the log has fewer than two failures.
     """
-    if len(log) < 2:
-        raise AnalysisError(
-            f"TBF needs at least 2 failures, log has {len(log)}"
-        )
-    return np.diff(log.columns.ts_hours).tolist()
+    return _tbf(log).tolist()
 
 
 def ttr_series_hours(log: FailureLog) -> list[float]:
@@ -68,7 +72,7 @@ def ttr_series_hours(log: FailureLog) -> list[float]:
 
 def mtbf(log: FailureLog) -> float:
     """Mean of the TBF series, in hours."""
-    return float(np.mean(tbf_series_hours(log)))
+    return float(np.mean(_tbf(log)))
 
 
 def mtbf_span(log: FailureLog) -> float:
@@ -94,7 +98,7 @@ def mttr(log: FailureLog) -> float:
     """
     if len(log) == 0:
         raise AnalysisError("MTTR of an empty log is undefined")
-    return float(np.mean(ttr_series_hours(log)))
+    return float(np.mean(log.columns.ttr_hours))
 
 
 def availability(log: FailureLog, num_nodes: int) -> float:
@@ -113,7 +117,7 @@ def availability(log: FailureLog, num_nodes: int) -> float:
 
 def downtime_hours(log: FailureLog) -> float:
     """Total node-hours out of service: the sum of the TTR series."""
-    return float(np.sum(ttr_series_hours(log)))
+    return float(np.sum(log.columns.ttr_hours))
 
 
 def fleet_availability(

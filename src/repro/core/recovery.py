@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core import metrics, taxonomy
+from repro.core.columns import group_rows
 from repro.core.records import FailureLog
 from repro.core.taxonomy import FailureClass
 from repro.errors import AnalysisError
@@ -106,18 +107,21 @@ def ttr_by_category(
             f"min_failures must be >= 1, got {min_failures}"
         )
     total = len(log)
+    cols = log.columns
+    order, bounds = group_rows(cols.category_codes, len(cols.category_names))
+    ttr = cols.ttr_hours[order]
+    bounds = bounds.tolist()
     results = []
-    for name in log.categories():
-        sub = log.by_category(name)
-        if len(sub) < min_failures:
+    for code, name in enumerate(cols.category_names):
+        start, end = bounds[code], bounds[code + 1]
+        if end - start < min_failures:
             continue
-        series = metrics.ttr_series_hours(sub)
         results.append(
             CategoryTtr(
                 category=name,
                 failure_class=taxonomy.failure_class(log.machine, name),
-                summary=five_number_summary(series),
-                share_of_failures=len(sub) / total,
+                summary=five_number_summary(ttr[start:end]),
+                share_of_failures=(end - start) / total,
             )
         )
     if not results:

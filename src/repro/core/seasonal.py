@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.columns import ColumnarView
+from repro.core.columns import ColumnarView, group_rows
 from repro.core.records import FailureLog
 from repro.errors import AnalysisError
 from repro.stats.correlation import CorrelationResult, pearson, spearman
@@ -87,11 +87,14 @@ def monthly_ttr(log: FailureLog) -> MonthlyTtr:
     if len(log) == 0:
         raise AnalysisError("monthly TTR of an empty log is undefined")
     cols = log.columns
-    summaries = {}
-    for month in np.unique(cols.months).tolist():
-        summaries[month] = five_number_summary(
-            cols.ttr_hours[cols.months == month]
-        )
+    order, bounds = group_rows(cols.months, len(MONTHS) + 1)
+    ttr = cols.ttr_hours[order]
+    bounds = bounds.tolist()
+    summaries = {
+        month: five_number_summary(ttr[bounds[month]:bounds[month + 1]])
+        for month in MONTHS
+        if bounds[month + 1] > bounds[month]
+    }
     return MonthlyTtr(machine=log.machine, summaries=summaries)
 
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core import metrics
+from repro.core.columns import group_rows
 from repro.core.records import FailureLog
 from repro.errors import AnalysisError
 from repro.stats.ecdf import ECDF
@@ -106,15 +107,18 @@ def tbf_by_category(
             f"got {min_failures}"
         )
     cols = log.columns
+    order, bounds = group_rows(cols.category_codes, len(cols.category_names))
+    stamps = cols.ts_hours[order]
+    bounds = bounds.tolist()
     results = []
-    for name in log.categories():
-        stamps = cols.ts_hours[cols.category_codes == cols.code_of(name)]
-        if stamps.shape[0] < min_failures:
+    for code, name in enumerate(cols.category_names):
+        start, end = bounds[code], bounds[code + 1]
+        if end - start < min_failures:
             continue
         results.append(
             CategoryTbf(
                 category=name,
-                summary=five_number_summary(np.diff(stamps)),
+                summary=five_number_summary(np.diff(stamps[start:end])),
             )
         )
     if not results:
@@ -162,16 +166,20 @@ def component_class_mtbf(
     Raises:
         AnalysisError: If the log has no GPU or no CPU failures.
     """
-    gpu_log = log.by_category(gpu_category)
-    cpu_log = log.by_category(cpu_category)
-    if len(gpu_log) == 0:
+    cols = log.columns
+    gpu_failures, cpu_failures = (
+        int(np.count_nonzero(cols.category_codes == cols.code_of(name)))
+        for name in (gpu_category, cpu_category)
+    )
+    if gpu_failures == 0:
         raise AnalysisError(f"log has no {gpu_category!r} failures")
-    if len(cpu_log) == 0:
+    if cpu_failures == 0:
         raise AnalysisError(f"log has no {cpu_category!r} failures")
+    # mtbf_span of each category's sub-log, which keeps the window.
     return ComponentClassMtbf(
         machine=log.machine,
-        gpu_mtbf_hours=metrics.mtbf_span(gpu_log),
-        cpu_mtbf_hours=metrics.mtbf_span(cpu_log),
-        gpu_failures=len(gpu_log),
-        cpu_failures=len(cpu_log),
+        gpu_mtbf_hours=log.span_hours / gpu_failures,
+        cpu_mtbf_hours=log.span_hours / cpu_failures,
+        gpu_failures=gpu_failures,
+        cpu_failures=cpu_failures,
     )

@@ -204,9 +204,7 @@ def _read_columns(text: str, metadata: dict[str, str]) -> FailureLog | None:
         start_us, end_us = datetimes_to_us(
             [window_start, window_end]
         ).tolist()
-        ts_us = datetimes_to_us(
-            list(map(datetime.fromisoformat, column["timestamp"]))
-        )
+        ts_us = _stamps_to_us(column["timestamp"])
         record_ids = np.fromiter(
             map(int, column["record_id"]), dtype=np.int64, count=n
         )
@@ -274,6 +272,61 @@ def _read_columns(text: str, metadata: dict[str, str]) -> FailureLog | None:
         **arrays,
     )
     return FailureLog._from_columns(machine, window_start, window_end, view)
+
+
+#: ``YYYY-MM-DDTHH:MM:SS.ffffff`` as ASCII bytes: each byte's lowest
+#: value, and how far above it the byte may go (9 for a digit).
+_STAMP_LOW = np.frombuffer(b"0000-00-00T00:00:00.000000", dtype=np.uint8)
+_STAMP_SPAN = np.where(_STAMP_LOW == ord("0"), 9, 0).astype(np.uint8)
+_YEAR_ONE_US = int(np.datetime64("0001-01-01", "us").astype(np.int64))
+
+
+def _stamps_to_us(stamps: list[str]) -> np.ndarray:
+    """Microseconds since the epoch of naive ISO-format stamps.
+
+    When every stamp is ``YYYY-MM-DDTHH:MM:SS`` or
+    ``YYYY-MM-DDTHH:MM:SS.ffffff`` in ASCII digits with a year >= 1,
+    numpy parses them in C: on those shapes it reads what
+    ``fromisoformat`` reads and rejects the dates and times it
+    rejects.  Anything else goes through ``fromisoformat``, since
+    numpy accepts input it rejects or reads differently (``NaT``,
+    ``today``, ``2012-01``, year 0, zone suffixes).
+
+    Raises:
+        ValueError: On a stamp ``fromisoformat`` rejects.
+        TypeError: On a tz-aware stamp.
+    """
+    if _iso_shaped(stamps):
+        ts_us = np.array(stamps, dtype="datetime64[us]").view(np.int64)
+        if ts_us.min() >= _YEAR_ONE_US:
+            return ts_us
+    return datetimes_to_us(list(map(datetime.fromisoformat, stamps)))
+
+
+def _iso_shaped(stamps: list[str]) -> bool:
+    """Whether every stamp has one of the two shapes numpy may parse."""
+    try:
+        text = np.frombuffer("".join(stamps).encode("ascii"), dtype=np.uint8)
+    except UnicodeEncodeError:
+        return False
+    lengths = np.fromiter(map(len, stamps), dtype=np.int64, count=len(stamps))
+    fraction = lengths == 26
+    if not (fraction | (lengths == 19)).all():
+        return False
+    if fraction.all() or not fraction.any():
+        blocks = [text.reshape(len(stamps), -1)]
+    else:  # both shapes: gather every head, then the fractions whole
+        starts = np.cumsum(lengths) - lengths
+        blocks = [
+            text[starts[:, None] + np.arange(19)],
+            text[starts[fraction, None] + np.arange(26)],
+        ]
+    # uint8 wraps below the lowest value, so one comparison suffices.
+    return all(
+        (block - _STAMP_LOW[:block.shape[1]]
+         <= _STAMP_SPAN[:block.shape[1]]).all()
+        for block in blocks
+    )
 
 
 def _codes(values: list[str], table) -> np.ndarray:

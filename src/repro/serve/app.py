@@ -52,7 +52,7 @@ from repro.serve.http import (
     json_body,
 )
 from repro.serve.jobs import JOB_STATES, Job, JobConflict, JobQueue
-from repro.serve.registry import DatasetRegistry
+from repro.serve.registry import DatasetRegistry, fingerprint_log
 from repro.serve.stats import ServerStats
 from repro.sim.montecarlo import EnsembleReport, run_replications
 from repro.synth import GeneratorConfig, generate_log
@@ -541,15 +541,16 @@ class ReproApp:
         if not request.body:
             raise HttpError(400, "empty request body")
         async with self.admission:
-            loaded = await self._offload(
-                _parse_log_body, request.body, format, on_error
+            loaded, fingerprint = await self._offload(
+                _fingerprinted, _parse_log_body, request.body, format,
+                on_error,
             )
         if isinstance(loaded, LogReadReport):
             log, quarantined = loaded.log, loaded.num_quarantined
         else:
             log, quarantined = loaded, 0
         dataset = self.registry.register(
-            name, log, source=f"upload:{format}"
+            name, log, source=f"upload:{format}", fingerprint=fingerprint
         )
         payload = dataset.describe()
         payload["quarantined_rows"] = quarantined
@@ -576,11 +577,12 @@ class ReproApp:
             failures = _as_int(failures, "failures")
         config = GeneratorConfig(seed=seed, num_failures=failures)
         async with self.admission:
-            log = await self._offload(
-                generate_log, machine, seed, config
+            log, fingerprint = await self._offload(
+                _fingerprinted, generate_log, machine, seed, config
             )
         dataset = self.registry.register(
-            name, log, source=f"synth:{machine}:seed={seed}"
+            name, log, source=f"synth:{machine}:seed={seed}",
+            fingerprint=fingerprint,
         )
         return Response(201, json_body(dataset.describe()))
 
@@ -846,6 +848,16 @@ def _parse_log_body(
         return read_log(path, format=format, on_error=on_error)
     finally:
         path.unlink(missing_ok=True)
+
+
+def _fingerprinted(
+    load: Callable[..., FailureLog | LogReadReport], *args: Any
+) -> tuple[FailureLog | LogReadReport, str]:
+    """``load(*args)`` and the fingerprint of the log it returns, so an
+    offloaded load also hashes off the event loop."""
+    loaded = load(*args)
+    log = loaded.log if isinstance(loaded, LogReadReport) else loaded
+    return loaded, fingerprint_log(log)
 
 
 def _as_int(value: Any, name: str) -> int:

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
+import numpy as np
+
 from repro.errors import ValidationError
 from repro.stats.ecdf import ECDF
 from repro.stats.summary import FiveNumberSummary
@@ -139,21 +141,26 @@ def timeline(
         raise ValidationError(f"span must be positive, got {span}")
     if width < 10:
         raise ValidationError(f"width must be at least 10, got {width}")
-    cells = [0] * width
-    for time, magnitude in events:
-        if not 0 <= time <= span:
-            raise ValidationError(
-                f"event time {time} outside [0, {span}]"
-            )
-        if magnitude < 1:
-            raise ValidationError(
-                f"event magnitude must be >= 1, got {magnitude}"
-            )
-        index = min(width - 1, int(width * time / span))
-        cells[index] = max(cells[index], magnitude)
+    times = np.array([time for time, _ in events], dtype=float)
+    magnitudes = np.array([magnitude for _, magnitude in events])
+    in_span = (times >= 0) & (times <= span)  # False for NaN too
+    bad = ~in_span | (magnitudes < 1)
+    if bad.any():
+        # The first offending event; its time is checked first.
+        first = int(np.argmax(bad))
+        time, magnitude = events[first]
+        if not in_span[first]:
+            raise ValidationError(f"event time {time} outside [0, {span}]")
+        raise ValidationError(
+            f"event magnitude must be >= 1, got {magnitude}"
+        )
+    index = np.minimum(width - 1, (width * times / span).astype(np.int64))
+    cells = np.zeros(width, dtype=magnitudes.dtype)
+    # fmax, like max(), keeps the cell's value over a NaN magnitude.
+    np.fmax.at(cells, index, magnitudes)
     body = "".join(
         " " if cell == 0 else ("." if cell == 1 else str(min(cell, 9)))
-        for cell in cells
+        for cell in cells.tolist()
     )
     lines = [title] if title else []
     lines.append(f"|{body}|")

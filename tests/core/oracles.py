@@ -3,7 +3,10 @@
 Each function here is the pure-Python loop a ``repro.core`` kernel ran
 before it read the log's :class:`~repro.core.columns.ColumnarView`:
 one pass over the :class:`~repro.core.records.FailureRecord` objects,
-building the same result type.  ``tests/core/test_columns_parity.py``
+building the same result type, or, for the per-category kernels
+(``tbf_by_category``, ``component_class_mtbf``, ``ttr_by_category``),
+one filtered sub-log per category, the formulation the one-pass
+grouped kernels replaced.  ``tests/core/test_columns_parity.py``
 holds every vectorized kernel to its oracle within 1e-9, the error
 tests hold the kernels' first-offender diagnoses to the exception type
 and message an oracle raises, and ``benchmarks/perf_core.py`` times
@@ -14,7 +17,11 @@ from __future__ import annotations
 
 from collections import Counter
 
-from repro.core import taxonomy
+from repro.core import metrics, taxonomy
+from repro.core.breakdown import (
+    CategoryShare,
+    RootLocusBreakdown,
+)
 from repro.core.multigpu import MultiGpuClustering, MultiGpuInvolvement
 from repro.core.records import FailureLog, FailureRecord
 from repro.core.seasonal import (
@@ -30,7 +37,8 @@ from repro.core.spatial import (
     RepeatFailureClassSplit,
 )
 from repro.core.taxonomy import FailureClass
-from repro.core.temporal import CategoryTbf
+from repro.core.recovery import CategoryTtr
+from repro.core.temporal import CategoryTbf, ComponentClassMtbf
 from repro.errors import AnalysisError
 from repro.stats.summary import five_number_summary
 
@@ -80,6 +88,90 @@ def tbf_by_category(
         )
     results.sort(key=lambda entry: entry.mean_hours)
     return results
+
+
+def component_class_mtbf(
+    log: FailureLog, gpu_category: str = "GPU", cpu_category: str = "CPU"
+) -> ComponentClassMtbf:
+    """GPU and CPU MTBF over one filtered sub-log per category."""
+    gpu_log = log.by_category(gpu_category)
+    cpu_log = log.by_category(cpu_category)
+    if len(gpu_log) == 0:
+        raise AnalysisError(f"log has no {gpu_category!r} failures")
+    if len(cpu_log) == 0:
+        raise AnalysisError(f"log has no {cpu_category!r} failures")
+    return ComponentClassMtbf(
+        machine=log.machine,
+        gpu_mtbf_hours=metrics.mtbf_span(gpu_log),
+        cpu_mtbf_hours=metrics.mtbf_span(cpu_log),
+        gpu_failures=len(gpu_log),
+        cpu_failures=len(cpu_log),
+    )
+
+
+# -- recovery ----------------------------------------------------------------
+
+def ttr_by_category(
+    log: FailureLog, min_failures: int = 2
+) -> list[CategoryTtr]:
+    """Figure 10 over one filtered sub-log per category."""
+    if len(log) == 0:
+        raise AnalysisError("TTR by category of an empty log is undefined")
+    if min_failures < 1:
+        raise AnalysisError(
+            f"min_failures must be >= 1, got {min_failures}"
+        )
+    results = []
+    for name in log.categories():
+        sub = log.by_category(name)
+        if len(sub) < min_failures:
+            continue
+        results.append(
+            CategoryTtr(
+                category=name,
+                failure_class=taxonomy.failure_class(log.machine, name),
+                summary=five_number_summary(ttr_series_hours(sub)),
+                share_of_failures=len(sub) / len(log),
+            )
+        )
+    if not results:
+        raise AnalysisError(
+            f"no category has at least {min_failures} failures"
+        )
+    results.sort(key=lambda entry: entry.mean_hours)
+    return results
+
+
+# -- breakdown ---------------------------------------------------------------
+
+def software_root_loci(
+    log: FailureLog, software_category: str = "Software"
+) -> RootLocusBreakdown:
+    """Figure 3 from the software records' loci."""
+    loci = Counter(
+        record.root_locus or "unknown"
+        for record in log
+        if record.category == software_category
+    )
+    total = sum(loci.values())
+    if total == 0:
+        raise AnalysisError(
+            f"log has no {software_category!r} failures to break down"
+        )
+    return RootLocusBreakdown(
+        total_software=total,
+        shares=tuple(
+            CategoryShare(
+                category=name,
+                count=count,
+                share=count / total,
+                failure_class=FailureClass.SOFTWARE,
+            )
+            for name, count in sorted(
+                loci.items(), key=lambda item: (-item[1], item[0])
+            )
+        ),
+    )
 
 
 # -- spatial -----------------------------------------------------------------

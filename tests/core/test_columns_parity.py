@@ -9,11 +9,20 @@ semantics it replaced.
 
 from datetime import timedelta
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import metrics, multigpu, seasonal, spatial, temporal
+from repro.core import (
+    breakdown,
+    metrics,
+    multigpu,
+    recovery,
+    seasonal,
+    spatial,
+    temporal,
+)
 from repro.core.records import FailureLog, FailureRecord
 from repro.core.taxonomy import TSUBAME2_CATEGORIES, FailureClass
 from repro.errors import AnalysisError
@@ -136,6 +145,54 @@ class TestTemporalParity:
         assert [e.category for e in actual] == [
             e.category for e in expected
         ]
+
+
+def _outcome(kernel, log):
+    """A kernel's result, or the message of the AnalysisError it raised."""
+    try:
+        return kernel(log)
+    except AnalysisError as error:
+        return ("raised", str(error))
+
+
+class TestGroupedKernelsExact:
+    """The one-pass grouped kernels give exactly the per-category
+    sub-log results: each group reads the same values in the same
+    order, so no tolerance is needed."""
+
+    GROUPED = (
+        (recovery.ttr_by_category, oracles.ttr_by_category),
+        (temporal.tbf_by_category, oracles.tbf_by_category),
+        (temporal.component_class_mtbf, oracles.component_class_mtbf),
+        (seasonal.monthly_ttr, oracles.monthly_ttr),
+    )
+
+    @settings(max_examples=40, deadline=None)
+    @given(log=failure_logs(min_size=0))
+    def test_grouped_kernels(self, log):
+        for kernel, oracle in self.GROUPED:
+            assert _outcome(kernel, log) == _outcome(oracle, log), kernel
+
+    @settings(max_examples=40, deadline=None)
+    @given(log=failure_logs())
+    def test_metrics_reduce_the_columns(self, log):
+        assert metrics.mtbf(log) == float(
+            np.mean(oracles.tbf_series_hours(log))
+        )
+        assert metrics.mttr(log) == float(
+            np.mean(oracles.ttr_series_hours(log))
+        )
+        assert metrics.downtime_hours(log) == float(
+            np.sum(oracles.ttr_series_hours(log))
+        )
+
+    def test_calibrated(self, t2_log, t3_log):
+        for log in (t2_log, t3_log):
+            for kernel, oracle in self.GROUPED:
+                assert kernel(log) == oracle(log), (log.machine, kernel)
+        assert breakdown.software_root_loci(
+            t3_log
+        ) == oracles.software_root_loci(t3_log)
 
 
 class TestSpatialParity:

@@ -126,6 +126,45 @@ INVALID = {
 }
 
 
+#: Row 2's timestamp replaced by a stamp at the edge of the two shapes
+#: the columnar reader hands to numpy.  numpy accepts several of these
+#: that ``fromisoformat`` rejects or reads differently, so each file
+#: must read, or fail, exactly as the row oracle does.
+STAMP_EDGES = {
+    name: _body(*_swap(2, 1, stamp))
+    for name, stamp in {
+        "zulu_suffix": "2017-05-10T23:35:15Z",
+        "offset_suffix": "2017-05-10T23:35:15+09:00",
+        "space_separator": "2017-05-10 23:35:15",
+        "date_only": "2017-05-10",
+        "year_month": "2017-05",
+        "nat": "NaT",
+        "today": "today",
+        "year_zero": "0000-01-01T00:00:00",
+        "seven_digit_fraction": "2017-05-10T23:35:15.1234567",
+        "leap_second": "2017-05-10T23:59:60",
+        "not_a_leap_day": "2011-02-29T00:00:00",
+        "non_ascii_digit": "2017-05-1\u0663T23:35:15",
+    }.items()
+}
+#: Files whose stamps all have one of the two shapes (the base rows
+#: mix them), each checked by its own branch of the shape check.
+STAMP_EDGES["whole_seconds_only"] = _body(
+    *(
+        ",".join([fields[0], fields[1][:19], *fields[2:]])
+        for fields in (row.split(",") for row in ROWS)
+    )
+)
+STAMP_EDGES["fractions_only"] = _body(
+    *(
+        ",".join(
+            [fields[0], fields[1][:19] + ".000001", *fields[2:]]
+        )
+        for fields in (row.split(",") for row in ROWS)
+    )
+)
+
+
 def _outcome(read, path, on_error):
     try:
         result = read(path, on_error=on_error)
@@ -213,3 +252,15 @@ def test_calibrated_round_trip(tmp_path, machine):
     assert _outcome(read_csv, path, "raise") == _outcome(
         read_csv_rows, path, "raise"
     )
+
+
+@pytest.mark.parametrize("on_error", ["raise", "skip", "collect"])
+@pytest.mark.parametrize("name", sorted(STAMP_EDGES))
+def test_timestamp_edges_match_row_oracle(tmp_path, name, on_error):
+    path = tmp_path / f"{name}.csv"
+    path.write_bytes(STAMP_EDGES[name].encode())
+    expected = _outcome(read_csv_rows, path, on_error)
+    assert _outcome(read_csv, path, on_error) == expected
+    if expected[0] == "read" and on_error == "raise":
+        _assert_same_view(read_csv(path).columns,
+                          build_columns(read_csv_rows(path)))

@@ -9,8 +9,11 @@ afterwards does not change it.
 
 from __future__ import annotations
 
+import asyncio
 import http.client
+import json
 import tempfile
+import threading
 from datetime import datetime, timedelta
 from pathlib import Path
 
@@ -28,6 +31,9 @@ from repro.serve import (
     fingerprint_log,
     run_in_thread,
 )
+from repro.serve import app as app_module
+from repro.serve import registry as registry_module
+from repro.serve.http import HttpRequest
 from repro.store import ingest_log, open_store
 from repro.synth import GeneratorConfig, generate_log
 from tests.serve.oracles import fingerprint_oracle
@@ -163,3 +169,65 @@ def test_uploaded_csv_log_stays_lazy_through_cold_analyses(tmp_path):
         dataset = app.registry.get("up")
     assert dataset.fingerprint == fingerprint_oracle(log)
     assert dataset.log._lazy
+
+
+def _post(app, path, body, query=None):
+    return app.dispatch(HttpRequest("POST", path, query or {}, {}, body))
+
+
+def test_uploads_and_generated_logs_hash_off_the_event_loop(
+    tmp_path, monkeypatch
+):
+    """``POST /datasets`` and ``POST /generate`` fingerprint the log in
+    the worker executor, never on the thread running the event loop."""
+    threads = []
+
+    def recording(log):
+        threads.append(threading.get_ident())
+        return fingerprint_log(log)
+
+    monkeypatch.setattr(app_module, "fingerprint_log", recording)
+    monkeypatch.setattr(registry_module, "fingerprint_log", recording)
+    write_csv(generate_log("tsubame3", seed=3), tmp_path / "up.csv")
+    body = (tmp_path / "up.csv").read_bytes()
+
+    async def scenario():
+        app = ReproApp(DatasetRegistry(), workers=1)
+        try:
+            upload = await _post(app, "/datasets/up", body, {"format": "csv"})
+            generated = await _post(
+                app, "/generate",
+                json.dumps({"name": "gen", "machine": "tsubame2"}).encode(),
+            )
+        finally:
+            await app.close()
+        return threading.get_ident(), upload, generated
+
+    loop_thread, upload, generated = asyncio.run(scenario())
+    assert (upload.status, generated.status) == (201, 201)
+    assert len(threads) == 2
+    assert loop_thread not in threads
+
+
+@pytest.mark.parametrize("on_error", ["raise", "collect"])
+def test_upload_response_fingerprint_is_the_logs(tmp_path, on_error):
+    log = generate_log("tsubame2", seed=4)
+    write_csv(log, tmp_path / "up.csv")
+
+    async def scenario():
+        app = ReproApp(DatasetRegistry(), workers=1)
+        try:
+            response = await _post(
+                app, "/datasets/up", (tmp_path / "up.csv").read_bytes(),
+                {"format": "csv", "on_error": on_error},
+            )
+        finally:
+            await app.close()
+        return response, app.registry.get("up")
+
+    response, dataset = asyncio.run(scenario())
+    assert response.status == 201
+    payload = json.loads(response.body)
+    assert payload["fingerprint"] == fingerprint_log(log)
+    assert payload["fingerprint"] == dataset.fingerprint
+    assert payload["fingerprint"] == fingerprint_log(dataset.log)

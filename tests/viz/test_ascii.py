@@ -1,11 +1,14 @@
 """Tests for the ASCII chart renderers."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ValidationError
 from repro.stats.ecdf import ECDF
 from repro.stats.summary import five_number_summary
 from repro.viz import bar_chart, boxplot_table, cdf_chart, render_table, timeline
+from tests.viz import oracles
 
 
 class TestBarChart:
@@ -97,6 +100,47 @@ class TestTimeline:
     def test_magnitude_capped_at_nine(self):
         line = timeline([(5.0, 42)], span=10.0, width=10)
         assert "9" in line
+
+    @pytest.mark.parametrize(
+        "events, message",
+        [
+            # A bad magnitude ahead of an out-of-span time...
+            ([(1.0, 1), (2.0, 0), (200.0, 1)],
+             "event magnitude must be >= 1, got 0"),
+            # ...and the other way round.
+            ([(1.0, 1), (200.0, 1), (2.0, 0)],
+             r"event time 200.0 outside \[0, 100.0\]"),
+            # Both offences in one event: its time is checked first.
+            ([(1.0, 1), (-1.0, 0)], r"event time -1.0 outside"),
+            ([(float("nan"), 1), (2.0, 0)], r"event time nan outside"),
+        ],
+    )
+    def test_names_the_first_offending_event(self, events, message):
+        with pytest.raises(ValidationError, match=message):
+            oracles.timeline(events, span=100.0)
+        with pytest.raises(ValidationError, match=message):
+            timeline(events, span=100.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        events=st.lists(
+            st.tuples(
+                st.floats(min_value=-1.0, max_value=101.0)
+                | st.just(float("nan")),
+                st.integers(min_value=0, max_value=12),
+            ),
+            max_size=40,
+        ),
+        width=st.integers(min_value=10, max_value=30),
+    )
+    def test_matches_per_event_loop(self, events, width):
+        def outcome(render):
+            try:
+                return render(events, span=100.0, width=width, title="t")
+            except ValidationError as error:
+                return str(error)
+
+        assert outcome(timeline) == outcome(oracles.timeline)
 
 
 class TestRenderTable:
