@@ -15,12 +15,14 @@ model caps a single generated trace at the node count), this times:
 * ``read_csv`` of the tiled log — the columnar reader vs. the
   row-by-row oracle in ``tests/io/oracles.py``, after asserting both
   give equal logs — plus the first-touch cost of the lazy records,
+  beside a frozen ``before`` block measured while the reader split
+  the decoded body into one string per field,
 * the ``report`` tier: ``full_report`` plus the five ``/analyze``
   payloads over the tiled log read back from CSV (with the 1x
-  Tsubame-3 log), the exact number of ``ColumnarView.mask`` calls
-  they make, and the sha256 of their bytes, beside a frozen
-  ``before`` block measured while the per-category kernels built a
-  sub-log per category,
+  Tsubame-3 log), the exact number of ``ColumnarView.mask`` and
+  ``np.percentile`` calls they make, and the sha256 of their bytes,
+  beside a frozen ``before`` block measured while the per-category
+  kernels built a sub-log per category,
 
 and a 50-seed :func:`repro.parallel.sweep` (serial vs. 4 workers),
 then writes ``BENCH_core.json`` at the repo root so future PRs have a
@@ -107,6 +109,34 @@ REPORT_BEFORE = {
                          "465fa94c7c15d882f928879bdc210ebd",
         "payloads_sha256": "69717fe0d5f78ac6ca4bc5f22235ec67"
                            "6818c17be2eeb7dd0c6722f02eb92fbc",
+    },
+}
+
+
+#: The ``read`` tier as last measured while ``read_csv`` decoded the
+#: body to text and split it into one ``str`` per field before
+#: converting each column.  Frozen; never re-measured.
+READ_BEFORE = {
+    "note": (
+        "str-split columnar reader: the previous src's read_csv, median "
+        "of five best-of-3 runs alternating with the byte tokenizer's, "
+        "measured once on 2 CPUs (Python 3.11.7, NumPy 2.4.6); not "
+        "re-measured"
+    ),
+    "1x": {
+        "rows": 897,
+        "columnar_s": 0.003363932002685033,
+        "first_touch_records_s": 0.005303777998051373,
+    },
+    "10x": {
+        "rows": 8970,
+        "columnar_s": 0.030604351999500068,
+        "first_touch_records_s": 0.06393495900192647,
+    },
+    "100x": {
+        "rows": 89700,
+        "columnar_s": 0.33846013999936986,
+        "first_touch_records_s": 0.7154727019988059,
     },
 }
 
@@ -326,7 +356,7 @@ KERNELS = {
 }
 
 
-def _bench_read(log: FailureLog) -> dict:
+def _bench_read(label: str, log: FailureLog) -> dict:
     """Columnar ``read_csv`` vs. the row-path oracle on one CSV."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "log.csv"
@@ -343,6 +373,7 @@ def _bench_read(log: FailureLog) -> dict:
     first_touch_s = min(
         _best_of(lambda: fresh.records, repeats=1)[0] for fresh in lazy
     )
+    before = READ_BEFORE[label]
     return {
         "rows": len(log),
         "columnar_s": columnar_s,
@@ -350,24 +381,26 @@ def _bench_read(log: FailureLog) -> dict:
         "speedup": row_s / columnar_s if columnar_s else float("inf"),
         "first_touch_records_s": first_touch_s,
         "logs_equal": True,
+        "before": {"note": READ_BEFORE["note"], **before},
+        "speedup_over_before": before["columnar_s"] / columnar_s,
     }
 
 
-def _count_masks(fn):
-    """``fn()`` and the number of ``ColumnarView.mask`` calls it made."""
+def _count_calls(owner, name: str, fn):
+    """``fn()`` and the number of calls it made to ``owner.<name>``."""
     calls = 0
-    original = ColumnarView.mask
+    original = getattr(owner, name)
 
-    def counted(self, keep):
+    def counted(*args, **kwargs):
         nonlocal calls
         calls += 1
-        return original(self, keep)
+        return original(*args, **kwargs)
 
-    ColumnarView.mask = counted
+    setattr(owner, name, counted)
     try:
         result = fn()
     finally:
-        ColumnarView.mask = original
+        setattr(owner, name, original)
     return calls, result
 
 
@@ -386,7 +419,10 @@ def _bench_report(label: str, log: FailureLog) -> dict:
         payloads = {name: fn(t2_log) for name, fn in PAYLOADS.items()}
         return text.encode(), json_body(payloads)
 
-    mask_calls, (text, payloads) = _count_masks(lambda: render(*fresh[0]))
+    mask_calls, (percentile_calls, (text, payloads)) = _count_calls(
+        ColumnarView, "mask",
+        lambda: _count_calls(np, "percentile", lambda: render(*fresh[0])),
+    )
     report_s = min(
         _best_of(lambda: render(*logs), repeats=1)[0] for logs in fresh[1:]
     )
@@ -397,6 +433,7 @@ def _bench_report(label: str, log: FailureLog) -> dict:
         "rows": len(log),
         "report_s": report_s,
         "mask_calls": mask_calls,
+        "percentile_calls": percentile_calls,
         "report_sha256": report_sha256,
         "payloads_sha256": payloads_sha256,
         "before": {"note": REPORT_BEFORE["note"], **before},
@@ -465,7 +502,7 @@ def _bench_scale(label: str, factor: int) -> dict:
             "parity_ok": fast_out == ref_out,
         },
         "kernels": kernels,
-        "read": _bench_read(log),
+        "read": _bench_read(label, log),
         "report": _bench_report(label, log),
     }
 
@@ -538,7 +575,8 @@ def main() -> None:
             f"row path {scale['read']['row_path_s'] * 1e3:.1f} ms "
             f"({scale['read']['speedup']:.1f}x), "
             f"report {scale['report']['report_s'] * 1e3:.1f} ms with "
-            f"{scale['report']['mask_calls']} mask calls"
+            f"{scale['report']['mask_calls']} mask calls and "
+            f"{scale['report']['percentile_calls']} percentile calls"
         )
     sweep_result = results["sweep"]
     print(

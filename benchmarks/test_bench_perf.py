@@ -5,8 +5,9 @@ the 50-seed sweep), writes ``BENCH_core.json``, and asserts the
 invariants that must never regress: the columnar chained-filter +
 analysis pass stays >= 10x faster than the pure-Python reference path
 at 100x scale, the fast path agrees with the reference output, the
-report tier makes exactly the counted ``ColumnarView.mask`` calls at
-1x and renders the same bytes as before at every scale, and the
+report tier makes exactly the counted ``ColumnarView.mask`` and
+``np.percentile`` calls at 1x and renders the same bytes as before at
+every scale, the read tier carries its frozen ``before`` block, and the
 parallel sweep returns exactly the serial results.
 
 The >2x parallel-speedup criterion is asserted only when the machine
@@ -50,6 +51,7 @@ def test_read_tier_matches_row_oracle(results):
     for label, scale in results["scales"].items():
         assert scale["read"]["logs_equal"], label
         assert scale["read"]["rows"] == scale["records"], label
+        assert scale["read"]["before"]["rows"] == scale["records"], label
 
 
 #: ``ColumnarView.mask`` calls of one report plus the five payloads at
@@ -60,6 +62,17 @@ REPORT_MASK_CALLS_1X = 2
 def test_report_tier_mask_calls_at_1x(results):
     report = results["scales"]["1x"]["report"]
     assert report["mask_calls"] == REPORT_MASK_CALLS_1X, report
+
+
+#: ``np.percentile`` calls of one report plus the five payloads at 1x:
+#: every boxplot's quartiles come from sorted slices, and no group of
+#: the calibrated logs holds a ``-0.0`` that would need percentile.
+REPORT_PERCENTILE_CALLS_1X = 0
+
+
+def test_report_tier_percentile_calls_at_1x(results):
+    report = results["scales"]["1x"]["report"]
+    assert report["percentile_calls"] == REPORT_PERCENTILE_CALLS_1X, report
 
 
 def test_report_tier_bytes_match_before(results):

@@ -139,7 +139,9 @@ def group_rows(codes: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
     row order — the rows, in the order, that the boolean mask
     ``codes == c`` selects.
     """
-    order = np.argsort(codes, kind="stable")
+    # The narrowest type that holds every code: numpy's stable sort
+    # radix-sorts 8- and 16-bit keys, ~6x faster than int32 ones.
+    order = np.argsort(codes.astype(np.min_scalar_type(size)), kind="stable")
     bounds = np.zeros(size + 1, dtype=np.int64)
     np.cumsum(np.bincount(codes, minlength=size), out=bounds[1:])
     return order, bounds

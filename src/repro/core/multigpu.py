@@ -23,6 +23,7 @@ __all__ = [
     "MultiGpuClustering",
     "clustering_ratio",
     "multi_gpu_clustering",
+    "multi_gpu_clustering_ratio",
 ]
 
 
@@ -148,17 +149,13 @@ class MultiGpuClustering:
     def mean_gap_after_multi(self) -> float:
         """Mean hours to the next multi-GPU failure, given one just
         happened (nan when no such gaps exist)."""
-        if not self.gaps_after_multi:
-            return float("nan")
-        return float(np.mean(self.gaps_after_multi))
+        return _mean_gap(self.gaps_after_multi)
 
     @property
     def mean_gap_after_single(self) -> float:
         """Mean hours to the next multi-GPU failure after a single-GPU
         failure (nan when no such gaps exist)."""
-        if not self.gaps_after_single:
-            return float("nan")
-        return float(np.mean(self.gaps_after_single))
+        return _mean_gap(self.gaps_after_single)
 
     @property
     def clustering_ratio(self) -> float:
@@ -191,8 +188,18 @@ def clustering_ratio(
     return mean_gap_after_single / mean_gap_after_multi
 
 
-def multi_gpu_clustering(log: FailureLog) -> MultiGpuClustering:
-    """Compute the Figure 8 temporal-clustering view of GPU failures.
+def _mean_gap(gaps) -> float:
+    """``np.mean`` of the gaps, nan over none."""
+    if not len(gaps):
+        return float("nan")
+    return float(np.mean(gaps))
+
+
+def _clustering_arrays(
+    log: FailureLog,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Figure 8's arrays: the GPU failures' times and GPU counts, then
+    the gaps after multi-GPU and after single-GPU failures.
 
     Raises:
         AnalysisError: If the log has no GPU failures with recorded
@@ -206,7 +213,6 @@ def multi_gpu_clustering(log: FailureLog) -> MultiGpuClustering:
         raise AnalysisError(
             "log has no GPU failures with recorded involvement"
         )
-    events = tuple(zip(times.tolist(), num_involved.tolist()))
     # Index of the first multi-GPU event strictly after each event:
     # searchsorted over the multi positions replaces the quadratic
     # forward scan of the reference implementation.
@@ -219,9 +225,34 @@ def multi_gpu_clustering(log: FailureLog) -> MultiGpuClustering:
         times[multi_positions[following[has_next]]] - times[has_next]
     )
     was_multi = (num_involved > 1)[has_next]
+    return times, num_involved, gaps[was_multi], gaps[~was_multi]
+
+
+def multi_gpu_clustering(log: FailureLog) -> MultiGpuClustering:
+    """Compute the Figure 8 temporal-clustering view of GPU failures.
+
+    Raises:
+        AnalysisError: If the log has no GPU failures with recorded
+            involvement.
+    """
+    times, num_involved, after_multi, after_single = (
+        _clustering_arrays(log)
+    )
     return MultiGpuClustering(
         machine=log.machine,
-        events=events,
-        gaps_after_multi=tuple(gaps[was_multi].tolist()),
-        gaps_after_single=tuple(gaps[~was_multi].tolist()),
+        events=tuple(zip(times.tolist(), num_involved.tolist())),
+        gaps_after_multi=tuple(after_multi.tolist()),
+        gaps_after_single=tuple(after_single.tolist()),
     )
+
+
+def multi_gpu_clustering_ratio(log: FailureLog) -> float:
+    """``multi_gpu_clustering(log).clustering_ratio``, from the arrays
+    alone: no event tuples are built.
+
+    Raises:
+        AnalysisError: If the log has no GPU failures with recorded
+            involvement.
+    """
+    _, _, after_multi, after_single = _clustering_arrays(log)
+    return clustering_ratio(_mean_gap(after_single), _mean_gap(after_multi))

@@ -14,7 +14,7 @@ from repro.core.breakdown import CategoryBreakdown, category_breakdown
 from repro.core.metrics import downtime_hours, fleet_availability, mtbf, mttr
 from repro.core.multigpu import (
     MultiGpuInvolvement,
-    multi_gpu_clustering,
+    multi_gpu_clustering_ratio,
     multi_gpu_involvement,
 )
 from repro.core.records import FailureLog
@@ -137,7 +137,7 @@ def _multigpu(log: FailureLog) -> dict[str, Any]:
     max_gpus = get_machine(log.machine).gpus_per_node
     return format_multigpu(
         multi_gpu_involvement(log, max_gpus),
-        multi_gpu_clustering(log).clustering_ratio,
+        multi_gpu_clustering_ratio(log),
     )
 
 

@@ -11,13 +11,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.core import metrics, taxonomy
 from repro.core.columns import group_rows
 from repro.core.records import FailureLog
 from repro.core.taxonomy import FailureClass
 from repro.errors import AnalysisError
 from repro.stats.ecdf import ECDF
-from repro.stats.summary import FiveNumberSummary, five_number_summary
+from repro.stats.summary import FiveNumberSummary, five_number_summaries
 
 __all__ = [
     "TtrDistribution",
@@ -109,21 +111,22 @@ def ttr_by_category(
     total = len(log)
     cols = log.columns
     order, bounds = group_rows(cols.category_codes, len(cols.category_names))
-    ttr = cols.ttr_hours[order]
-    bounds = bounds.tolist()
-    results = []
-    for code, name in enumerate(cols.category_names):
-        start, end = bounds[code], bounds[code + 1]
-        if end - start < min_failures:
-            continue
-        results.append(
-            CategoryTtr(
-                category=name,
-                failure_class=taxonomy.failure_class(log.machine, name),
-                summary=five_number_summary(ttr[start:end]),
-                share_of_failures=(end - start) / total,
-            )
+    kept = np.flatnonzero(np.diff(bounds) >= min_failures)
+    starts, ends = bounds[kept], bounds[kept + 1]
+    summaries = five_number_summaries(cols.ttr_hours[order], starts, ends)
+    results = [
+        CategoryTtr(
+            category=name,
+            failure_class=taxonomy.failure_class(log.machine, name),
+            summary=summary,
+            share_of_failures=count / total,
         )
+        for name, summary, count in zip(
+            [cols.category_names[code] for code in kept.tolist()],
+            summaries,
+            (ends - starts).tolist(),
+        )
+    ]
     if not results:
         raise AnalysisError(
             f"no category has at least {min_failures} failures"

@@ -18,7 +18,7 @@ from repro.core.columns import ColumnarView, group_rows
 from repro.core.records import FailureLog
 from repro.errors import AnalysisError
 from repro.stats.correlation import CorrelationResult, pearson, spearman
-from repro.stats.summary import FiveNumberSummary, five_number_summary
+from repro.stats.summary import FiveNumberSummary, five_number_summaries
 
 __all__ = [
     "MonthlyTtr",
@@ -88,13 +88,16 @@ def monthly_ttr(log: FailureLog) -> MonthlyTtr:
         raise AnalysisError("monthly TTR of an empty log is undefined")
     cols = log.columns
     order, bounds = group_rows(cols.months, len(MONTHS) + 1)
-    ttr = cols.ttr_hours[order]
-    bounds = bounds.tolist()
-    summaries = {
-        month: five_number_summary(ttr[bounds[month]:bounds[month + 1]])
-        for month in MONTHS
-        if bounds[month + 1] > bounds[month]
-    }
+    counts = np.diff(bounds)
+    months = np.array([month for month in MONTHS if counts[month]])
+    summaries = dict(
+        zip(
+            months.tolist(),
+            five_number_summaries(
+                cols.ttr_hours[order], bounds[months], bounds[months + 1]
+            ),
+        )
+    )
     return MonthlyTtr(machine=log.machine, summaries=summaries)
 
 

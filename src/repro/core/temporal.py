@@ -17,7 +17,7 @@ from repro.core.columns import group_rows
 from repro.core.records import FailureLog
 from repro.errors import AnalysisError
 from repro.stats.ecdf import ECDF
-from repro.stats.summary import FiveNumberSummary, five_number_summary
+from repro.stats.summary import FiveNumberSummary, five_number_summaries
 
 __all__ = [
     "TbfDistribution",
@@ -108,19 +108,17 @@ def tbf_by_category(
         )
     cols = log.columns
     order, bounds = group_rows(cols.category_codes, len(cols.category_names))
-    stamps = cols.ts_hours[order]
-    bounds = bounds.tolist()
-    results = []
-    for code, name in enumerate(cols.category_names):
-        start, end = bounds[code], bounds[code + 1]
-        if end - start < min_failures:
-            continue
-        results.append(
-            CategoryTbf(
-                category=name,
-                summary=five_number_summary(np.diff(stamps[start:end])),
-            )
+    kept = np.flatnonzero(np.diff(bounds) >= min_failures)
+    # Category c's gaps are gaps[bounds[c]:bounds[c + 1] - 1], the
+    # differences within its rows.
+    gaps = np.diff(cols.ts_hours[order])
+    results = [
+        CategoryTbf(category=cols.category_names[code], summary=summary)
+        for code, summary in zip(
+            kept.tolist(),
+            five_number_summaries(gaps, bounds[kept], bounds[kept + 1] - 1),
         )
+    ]
     if not results:
         raise AnalysisError(
             f"no category has at least {min_failures} failures"

@@ -17,7 +17,12 @@ import numpy as np
 
 from repro.errors import ValidationError
 
-__all__ = ["FiveNumberSummary", "five_number_summary", "describe"]
+__all__ = [
+    "FiveNumberSummary",
+    "five_number_summary",
+    "five_number_summaries",
+    "describe",
+]
 
 
 @dataclass(frozen=True)
@@ -82,6 +87,88 @@ def five_number_summary(sample: Sequence[float]) -> FiveNumberSummary:
         maximum=float(values.max()),
         mean=float(values.mean()),
     )
+
+
+#: The quartiles as ``np.percentile`` holds them: ``q / 100``.
+_QUARTILES = np.true_divide([25.0, 50.0, 75.0], 100)
+
+
+def five_number_summaries(
+    values: np.ndarray, starts: Sequence[int], ends: Sequence[int]
+) -> list[FiveNumberSummary]:
+    """``five_number_summary(values[start:end])`` of each slice, equal
+    bit for bit.
+
+    Each slice is sorted once and all the quartiles are interpolated
+    together, the way ``np.percentile``'s ``linear`` method does: the
+    virtual index ``(n - 1) * q``, its floor and the next index (both
+    the last value at or past the end) and numpy's ``_lerp``, whose
+    ``t >= 0.5`` branch interpolates back from the upper value.  Sorted
+    and partitioned slices agree at every order statistic except
+    between ``0.0`` and ``-0.0``, so a slice holding ``-0.0`` goes to
+    ``five_number_summary`` itself, as do empty and non-finite slices,
+    which raise its errors in slice order.  The minimum, maximum and
+    mean are the slice's own reductions.
+
+    Raises:
+        ValidationError: If a slice is empty or non-finite.
+    """
+    values = np.asarray(values, dtype=float)
+    starts = np.asarray(starts, dtype=np.int64)
+    ends = np.asarray(ends, dtype=np.int64)
+    # Running count of the values a sort cannot handle as percentile
+    # does: non-finite ones and negative zeros.
+    awkward = np.zeros(values.size + 1, dtype=np.int64)
+    np.cumsum(
+        ~np.isfinite(values) | ((values == 0.0) & np.signbit(values)),
+        out=awkward[1:],
+    )
+    counts = ends - starts
+    plain = (counts > 0) & (awkward[ends] == awkward[starts])
+    sizes = counts[plain]
+    first = np.zeros(sizes.size, dtype=np.int64)
+    np.cumsum(sizes[:-1], out=first[1:])
+    ordered = np.concatenate(
+        [np.sort(values[start:end])
+         for start, end in zip(starts[plain].tolist(), ends[plain].tolist())]
+        or [values[:0]]
+    )
+    virtual = (sizes[:, None] - 1) * _QUARTILES
+    floor = np.floor(virtual)
+    gamma = virtual - floor
+    # At or past the end numpy reads the slice's last value (index -1)
+    # for both neighbours; equal neighbours make gamma irrelevant.
+    last = virtual >= sizes[:, None] - 1
+    lower = first[:, None] + np.where(last, sizes[:, None] - 1, floor).astype(
+        np.int64
+    )
+    below, above = ordered[lower], ordered[lower + ~last]
+    step = above - below
+    quartiles = np.where(
+        gamma >= 0.5, above - step * (1 - gamma), below + step * gamma
+    ).tolist()
+    summaries = []
+    rows = iter(quartiles)
+    for start, end, is_plain in zip(
+        starts.tolist(), ends.tolist(), plain.tolist()
+    ):
+        part = values[start:end]
+        if not is_plain:
+            summaries.append(five_number_summary(part))
+            continue
+        q1, median, q3 = next(rows)
+        summaries.append(
+            FiveNumberSummary(
+                n=end - start,
+                minimum=float(part.min()),
+                q1=q1,
+                median=median,
+                q3=q3,
+                maximum=float(part.max()),
+                mean=float(part.mean()),
+            )
+        )
+    return summaries
 
 
 def describe(sample: Sequence[float]) -> dict[str, float]:

@@ -2,7 +2,7 @@
 
 A segment is one append's worth of failure records, laid out as
 aligned NumPy column arrays in a single file so a reader can
-``np.memmap`` it and hand out zero-copy views — a million-record log
+memory-map it and hand out zero-copy views — a million-record log
 never has to be fully loaded to answer a column query.
 
 Layout::
@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import mmap
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -89,7 +90,7 @@ def _aligned(offset: int) -> int:
 
 @dataclass(frozen=True)
 class Segment:
-    """One opened segment: zero-copy column arrays over a memmap.
+    """One opened segment: zero-copy column arrays over an mmap.
 
     The arrays are read-only views into ``_buffer`` (the mmap'd file).
     NumPy's base-chain keeps the mapping alive for as long as any view
@@ -106,8 +107,10 @@ class Segment:
     max_ts_us: int
     min_record_id: int
     max_record_id: int
+    #: The footer's SHA-256 of the data region, as hex.
+    digest: str
     columns: dict[str, np.ndarray]
-    _buffer: np.memmap | None
+    _buffer: np.ndarray | None
 
     def __len__(self) -> int:
         return self.rows
@@ -240,7 +243,7 @@ def write_segment(
 
 
 def open_segment(path: str | Path, verify: bool = True) -> Segment:
-    """Open a segment as zero-copy read-only views over a memmap.
+    """Open a segment as zero-copy read-only views over an mmap.
 
     Args:
         path: Segment file path.
@@ -255,25 +258,31 @@ def open_segment(path: str | Path, verify: bool = True) -> Segment:
     """
     path = Path(path)
     try:
-        size = path.stat().st_size
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            size = os.fstat(fd).st_size
+            mapping = (
+                mmap.mmap(fd, 0, access=mmap.ACCESS_READ)
+                if size >= 16 + _FOOTER_LEN else None
+            )
+        finally:
+            os.close(fd)
     except OSError as exc:
         raise StoreCorruptError(f"segment {path} unreadable: {exc}") from exc
-    if size < 16 + _FOOTER_LEN:
+    if mapping is None:
         raise StoreCorruptError(
             f"segment {path} too short ({size} bytes) to hold a "
             f"header and footer"
         )
-    buffer = np.memmap(path, dtype=np.uint8, mode="r")
-    raw = buffer[:16].tobytes()
-    if raw[:8] != _MAGIC:
+    if mapping[:8] != _MAGIC:
         raise StoreCorruptError(f"segment {path} has a bad magic number")
-    header_len = int.from_bytes(raw[8:16], "little")
+    header_len = int.from_bytes(mapping[8:16], "little")
     if 16 + header_len + _FOOTER_LEN > size:
         raise StoreCorruptError(
             f"segment {path} header length {header_len} exceeds the file"
         )
     try:
-        header = json.loads(buffer[16:16 + header_len].tobytes())
+        header = json.loads(mapping[16:16 + header_len])
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise StoreCorruptError(
             f"segment {path} header is not valid JSON: {exc}"
@@ -283,7 +292,7 @@ def open_segment(path: str | Path, verify: bool = True) -> Segment:
             f"segment {path} has schema version "
             f"{header.get('schema_version')!r}, expected {SCHEMA_VERSION}"
         )
-    footer = buffer[size - _FOOTER_LEN:].tobytes()
+    footer = mapping[size - _FOOTER_LEN:]
     if footer[:8] != _FOOTER_MAGIC:
         raise StoreCorruptError(
             f"segment {path} footer magic missing (torn write)"
@@ -294,6 +303,9 @@ def open_segment(path: str | Path, verify: bool = True) -> Segment:
             f"segment {path} footer places data end at {data_end} but "
             f"the file has {size - _FOOTER_LEN} data bytes"
         )
+    # A plain array over the mapping: slicing it skips np.memmap's
+    # per-view bookkeeping, and the base chain still pins the mapping.
+    buffer = np.frombuffer(mapping, dtype=np.uint8)
     if verify:
         digest = hashlib.sha256(buffer[:data_end]).digest()
         if digest != footer[16:]:
@@ -312,9 +324,8 @@ def open_segment(path: str | Path, verify: bool = True) -> Segment:
                 f"segment {path} column {name!r} extends past the "
                 f"data region"
             )
-        # A view of the memmap slice: the base chain pins the mapping.
+        # Read-only, as the mapping is.
         array = buffer[start:start + nbytes].view(dtype)
-        array.setflags(write=False)
         columns[name] = array
     expected = _column_lengths(
         rows, int(columns["slot_values"].shape[0])
@@ -334,6 +345,7 @@ def open_segment(path: str | Path, verify: bool = True) -> Segment:
         max_ts_us=int(header["max_ts_us"]),
         min_record_id=int(header["min_record_id"]),
         max_record_id=int(header["max_record_id"]),
+        digest=footer[16:].hex(),
         columns=columns,
         _buffer=buffer,
     )

@@ -32,6 +32,8 @@ prefix of each segment, and the observation window is truncated to
 
 from __future__ import annotations
 
+import fnmatch
+import os
 from datetime import datetime
 from pathlib import Path
 from typing import Any, Iterable
@@ -194,7 +196,7 @@ def _open_segments(
             path = root / entry["file"]
             try:
                 segment = open_segment(path, verify=verify)
-                if verify and segment_digest(segment) != entry["sha256"]:
+                if verify and segment.digest != entry["sha256"]:
                     raise StoreCorruptError(
                         f"segment {path} does not match the digest the "
                         f"manifest recorded"
@@ -217,14 +219,6 @@ def _open_segments(
             return segments, manifest, healed
         manifest = _drop_tail(root, manifest)
         healed = True
-
-
-def segment_digest(segment: Segment) -> str:
-    """The footer digest a segment carries, as hex."""
-    size = segment.path.stat().st_size
-    with open(segment.path, "rb") as handle:
-        handle.seek(size - 32)
-        return handle.read(32).hex()
 
 
 def _drop_tail(root: Path, manifest: dict[str, Any]) -> dict[str, Any]:
@@ -270,10 +264,10 @@ def _quarantine_orphans(
     """
     listed = {entry["file"] for entry in manifest["segments"]}
     quarantined = []
-    for path in sorted(root.glob(_SEGMENT_GLOB)):
-        if path.name not in listed:
-            path.rename(path.with_name(path.name + ".orphan"))
-            quarantined.append(path.name)
+    for name in sorted(fnmatch.filter(os.listdir(root), _SEGMENT_GLOB)):
+        if name not in listed:
+            (root / name).rename(root / (name + ".orphan"))
+            quarantined.append(name)
     return quarantined
 
 

@@ -23,8 +23,10 @@ counterpart in :mod:`repro.core`:
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
+from operator import attrgetter
 
 from repro.errors import StreamError
 
@@ -149,6 +151,9 @@ class _GKTuple:
     delta: int
 
 
+_tuple_value = attrgetter("value")
+
+
 class GKQuantileSketch:
     """Greenwald-Khanna epsilon-approximate quantile sketch.
 
@@ -191,14 +196,8 @@ class GKQuantileSketch:
     def push(self, value: float) -> None:
         """Insert one observation."""
         band = int(2.0 * self._epsilon * self._n)
-        # Find the insertion index by value.
-        lo, hi = 0, len(self._tuples)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self._tuples[mid].value < value:
-                lo = mid + 1
-            else:
-                hi = mid
+        # The insertion index by value: the first tuple not below it.
+        lo = bisect_left(self._tuples, value, key=_tuple_value)
         if lo == 0 or lo == len(self._tuples):
             delta = 0
         else:
@@ -233,14 +232,28 @@ class GKQuantileSketch:
 
     @classmethod
     def from_state(cls, state: dict) -> "GKQuantileSketch":
-        """Rebuild a sketch from a :meth:`state` snapshot."""
+        """Rebuild a sketch from a :meth:`state` snapshot.
+
+        The tuples are built on the sketch's first use, so restoring a
+        sketch that is never queried (a store's diagnostic sketches on
+        the serving path) costs no object per tuple.
+        """
         sketch = cls(epsilon=float(state["epsilon"]))
         sketch._n = int(state["n"])
-        sketch._tuples = [
-            _GKTuple(float(value), int(g), int(delta))
-            for value, g, delta in state["tuples"]
-        ]
+        del sketch._tuples
+        sketch._saved_tuples = state["tuples"]
         return sketch
+
+    def __getattr__(self, name: str):
+        # Reached only for attributes not set: a restored sketch's
+        # tuples before their first use.
+        if name != "_tuples" or "_saved_tuples" not in self.__dict__:
+            raise AttributeError(name)
+        self._tuples = [
+            _GKTuple(float(value), int(g), int(delta))
+            for value, g, delta in self.__dict__.pop("_saved_tuples")
+        ]
+        return self._tuples
 
     @classmethod
     def merged(

@@ -9,11 +9,15 @@ message, or quarantine the same rows.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.columns import build_columns
-from repro.io import LogReadReport, read_csv, write_csv
+from repro.io import LogReadReport, csvio, read_csv, write_csv
 from repro.synth import generate_log
 from tests.io.oracles import read_csv_rows
 
@@ -45,6 +49,12 @@ def _swap(index: int, column: int, value: str) -> tuple[str, ...]:
     rows[index] = ",".join(fields)
     return tuple(rows)
 
+
+#: Rows enough to push a file past 8 KiB, valid after the base rows.
+_FILLER = tuple(
+    f"{index},2017-05-13T00:00:{index % 60:02d},{index},GPU,1.5,0,"
+    for index in range(6, 306)
+)
 
 VALID = {
     "base": _body(*ROWS),
@@ -81,6 +91,30 @@ VALID = {
     "blank_line": _body(*ROWS[:3], "", *ROWS[3:]),
     "bare_cr_line_ends": _body(*ROWS).replace("\n", "\r"),
     "nul_in_locus": _body(*_swap(0, 6, "gpu\0driver")),
+    # Fields at the edges of the numpy paths' shapes, each read as
+    # int() or float() reads it.
+    "signed_id": _body(*_swap(5, 0, "+5")),
+    "zero_padded_id": _body(*_swap(3, 0, "007")),
+    "underscored_node": _body(*_swap(1, 2, "1_000")),
+    "id_19_digits": _body(*_swap(2, 0, "1000000000000000000")),
+    "id_overflows_int64": _body(*_swap(2, 0, "9999999999999999999")),
+    "id_20_digits": _body(*_swap(2, 0, "20000000000000000000")),
+    "gpu_slot_beyond_int32": _body(*_swap(2, 5, "3000000000")),
+    "space_padded_ttr": _body(*_swap(1, 4, " 0.5 ")),
+    # Digits and spaces float() and int() read in text but not in
+    # bytes: these columns go through str.
+    "unicode_space_ttr": _body(*_swap(1, 4, "\u20030.5")),
+    "non_ascii_digit_ttr": _body(*_swap(1, 4, "\u0663.5")),
+    "non_ascii_digit_node": _body(*_swap(1, 2, "\u0665\u0660\u0664")),
+    "mixed_line_ends": META + HEADER + "\r\n" + "".join(
+        row + ("\r\n" if index % 2 else "\n")
+        for index, row in enumerate(ROWS)
+    ),
+    "no_final_newline": _body(*ROWS).removesuffix("\n"),
+    "crlf_no_final_newline": _body(*ROWS).replace("\n", "\r\n")[:-2],
+    "non_ascii_locus": _body(*_swap(0, 6, "gpu_tr\u00e4iber\u2603")),
+    # A CR ending the last line reads as that line's end.
+    "cr_ends_body": _body(*ROWS).removesuffix("\n") + "\r",
 }
 
 #: Valid files the columnar path hands to the row reader, which then
@@ -88,6 +122,9 @@ VALID = {
 ROW_PATH = {
     "unsorted_gpus", "header_only", "extra_column", "duplicate_header",
     "blank_line", "quoted_fields", "bare_cr_line_ends", "nul_in_locus",
+    # Values the view's int64 ids or int32 slots cannot hold: only the
+    # records can carry them.
+    "id_overflows_int64", "id_20_digits", "gpu_slot_beyond_int32",
 }
 
 INVALID = {
@@ -123,6 +160,23 @@ INVALID = {
     + "".join(row.rsplit(",", 1)[0] + "\n" for row in ROWS),
     "over_field_size_limit": _body(*_swap(0, 6, "x" * 200_000)),
     "two_errors": _body(*_swap(1, 4, "nan")[:3], *_swap(4, 3, "")[3:]),
+    # A bare CR ends csv.reader's line mid-field.
+    "bare_cr_in_field": _body(*_swap(0, 6, "gpu\rdriver")),
+    # Not printable ASCII, so float() reads the field's text (and
+    # rejects it, as the row reader does).
+    "separator_padded_ttr": _body(*_swap(1, 4, "\x1f0.5")),
+    # An invalid UTF-8 byte past the text reader's first 8 KiB chunk,
+    # so the metadata decodes and the error comes from the body: in
+    # the locus column, and in a column the columnar path never
+    # converts.
+    "invalid_utf8_locus": _body(
+        *ROWS[:5], *_FILLER, _swap(5, 6, "\udcff")[5]
+    ).encode("utf-8", "surrogateescape"),
+    "invalid_utf8_extra_column": _body(
+        *(row + ",note" for row in (*ROWS[:5], *_FILLER)),
+        ROWS[5] + ",n\udcffte",
+        header=HEADER + ",comment",
+    ).encode("utf-8", "surrogateescape"),
 }
 
 
@@ -196,11 +250,17 @@ def _assert_same_view(actual, expected):
             assert np.array_equal(other, array), name
 
 
+def _write(path, content: str | bytes):
+    path.write_bytes(
+        content.encode() if isinstance(content, str) else content
+    )
+
+
 @pytest.mark.parametrize("on_error", ["raise", "skip", "collect"])
 @pytest.mark.parametrize("name", sorted(VALID) + sorted(INVALID))
 def test_matches_row_oracle(tmp_path, name, on_error):
     path = tmp_path / f"{name}.csv"
-    path.write_bytes(({**VALID, **INVALID}[name]).encode())
+    _write(path, {**VALID, **INVALID}[name])
     assert _outcome(read_csv, path, on_error) == _outcome(
         read_csv_rows, path, on_error
     )
@@ -209,17 +269,23 @@ def test_matches_row_oracle(tmp_path, name, on_error):
 @pytest.mark.parametrize("name", sorted(VALID))
 def test_valid_files_read(tmp_path, name):
     path = tmp_path / f"{name}.csv"
-    path.write_bytes(VALID[name].encode())
+    _write(path, VALID[name])
     log = read_csv(path)
     assert ("records" in log.__dict__) == (name in ROW_PATH)
+    try:
+        expected = build_columns(read_csv_rows(path))
+    except OverflowError:  # a value beyond the view's dtypes: no view
+        with pytest.raises(OverflowError):
+            log.columns
+        return
     # The view the columnar path built is the one the records imply.
-    _assert_same_view(log.columns, build_columns(read_csv_rows(path)))
+    _assert_same_view(log.columns, expected)
 
 
 @pytest.mark.parametrize("name", sorted(INVALID))
 def test_invalid_files_raise(tmp_path, name):
     path = tmp_path / f"{name}.csv"
-    path.write_bytes(INVALID[name].encode())
+    _write(path, INVALID[name])
     with pytest.raises(Exception):
         read_csv_rows(path)
 
@@ -264,3 +330,66 @@ def test_timestamp_edges_match_row_oracle(tmp_path, name, on_error):
     if expected[0] == "read" and on_error == "raise":
         _assert_same_view(read_csv(path).columns,
                           build_columns(read_csv_rows(path)))
+
+
+def test_long_fields_read_in_memory_of_the_body(tmp_path):
+    """A long field leaves its column to the strings: gathering every
+    row at that field's width would take rows x width bytes."""
+    wide = 40_000
+    rows = [
+        f"{index},2017-05-13T00:00:{index % 60:02d},{index},GPU,1.5,0,"
+        for index in range(6, 2006)
+    ]
+    rows[0] += "x" * wide  # a locus
+    rows[1] = rows[1].replace(",1.5,", "," + " " * wide + "0.5,")
+    path = tmp_path / "wide.csv"
+    _write(path, _body(*ROWS, *rows))
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        log = read_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "records" not in log.__dict__
+    assert log.records == read_csv_rows(path).records
+    # The reader's delimiter index arrays take several times the body;
+    # one gathered block of a wide column would take ~500x it.
+    assert peak < 16 * size, (peak, size)
+
+
+def test_key_collision_regroups_by_bytes(tmp_path, monkeypatch):
+    """Loci whose 8-byte words fold to one key still read apart."""
+    # With a zero multiplier a key is a field's last word alone.
+    monkeypatch.setattr(csvio, "_WORD_MIX", np.uint64(0))
+    path = tmp_path / "collide.csv"
+    _write(path, _body(*_swap(1, 6, "fan_driver")))
+    log = read_csv(path)
+    assert "records" not in log.__dict__
+    assert log.records == read_csv_rows(path).records
+    assert {r.root_locus for r in log} == {"fan_driver", "gpu_driver", None}
+
+
+def test_body_of_a_non_utf8_text_handle_is_re_encoded(tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b"# machine=tsubame3\n" + HEADER.encode() + b"\n0,\xe9\n")
+    with path.open(newline="", encoding="latin-1") as handle:
+        meta = [handle.readline()]
+        body = csvio._body_bytes(handle, meta)
+    assert body == (HEADER + "\n0,\u00e9\n").encode()
+
+
+def _converted(field):
+    try:
+        return repr(float(field))
+    except ValueError as exc:
+        return str(exc).split(":")[0]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text(alphabet=st.characters(min_codepoint=0x20, max_codepoint=0x7E),
+               max_size=12))
+def test_printable_ascii_bytes_read_as_text(field):
+    """The columnar reader hands float() the bytes of a TTR column of
+    printable ASCII: it must read them as it reads the text."""
+    assert _converted(field.encode()) == _converted(field)

@@ -88,6 +88,24 @@ class TestGKQuantileSketch:
         # An exact structure would hold 20000 entries.
         assert sketch.size < 2000
 
+    def test_restored_sketch_builds_its_tuples_on_first_use(self):
+        rng = np.random.default_rng(5)
+        original = GKQuantileSketch(epsilon=0.01)
+        original.push_many(rng.random(3000).tolist())
+        state = original.state()
+        restored = GKQuantileSketch.from_state(state)
+        assert "_tuples" not in vars(restored)
+        assert restored.n == original.n
+        assert restored.value(0.9) == original.value(0.9)
+        assert "_tuples" in vars(restored)
+        # A push into a sketch whose tuples are not built yet continues
+        # exactly where the persisted sketch left off.
+        values = rng.random(500).tolist()
+        pushed = GKQuantileSketch.from_state(state)
+        pushed.push_many(values)
+        original.push_many(values)
+        assert pushed.state() == original.state()
+
 
 class TestRollingWindowStats:
     def test_rejects_bad_window(self):
