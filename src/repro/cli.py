@@ -264,11 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument("--burst", type=float, default=20.0,
                        help="token-bucket depth for --rate-limit")
-    serve.add_argument(
-        "--shards", type=int, default=0, metavar="N",
-        help="scale-out mode: front N shard worker processes with a "
-             "consistent-hashing router (0 = single process)",
-    )
 
     store = sub.add_parser(
         "store",
@@ -887,80 +882,7 @@ async def _serve_async(args: argparse.Namespace) -> int:
             loop.remove_signal_handler(signum)
 
 
-async def _serve_sharded_async(args: argparse.Namespace) -> int:
-    """Run the router + shard fleet until stopped; 130 on signals."""
-    import signal
-
-    from repro.serve import ReproServer, RouterApp
-
-    specs = tuple(
-        spec.strip() for spec in filter(None, args.datasets.split(","))
-    )
-    router = RouterApp(
-        args.shards,
-        specs,
-        host=args.host,
-        workers=args.workers,
-        cache_size=args.cache_size,
-        cache_ttl_seconds=args.cache_ttl or None,
-        max_inflight=args.max_inflight,
-        max_queue=args.max_queue,
-        rate_per_second=args.rate_limit,
-        burst=args.burst,
-    )
-    await router.start()
-    for index in sorted(router._shards):
-        shard = router._shards[index]
-        print(f"shard {index} ready on port {shard.port} "
-              f"(pid {shard.process.pid})", flush=True)
-    server = ReproServer(router, host=args.host, port=args.port)
-    try:
-        await server.start()
-    except BaseException:
-        await router.close()
-        raise
-    print(f"routing http://{args.host}:{server.port} across "
-          f"{args.shards} shards (Ctrl-C to stop)", flush=True)
-
-    loop = asyncio.get_running_loop()
-    interrupted = asyncio.Event()
-    installed: list[signal.Signals] = []
-    for signum in (signal.SIGINT, signal.SIGTERM):
-        try:
-            loop.add_signal_handler(signum, interrupted.set)
-            installed.append(signum)
-        except (NotImplementedError, RuntimeError):
-            pass
-    try:
-        waiters = [
-            asyncio.ensure_future(interrupted.wait()),
-            asyncio.ensure_future(server.wait_stopped()),
-        ]
-        done, pending = await asyncio.wait(
-            waiters, return_when=asyncio.FIRST_COMPLETED
-        )
-        for task in pending:
-            task.cancel()
-        if interrupted.is_set():
-            print("shutting down (draining router and shards)...",
-                  flush=True)
-            await server.stop()
-            return EXIT_INTERRUPT
-        return EXIT_OK
-    finally:
-        for signum in installed:
-            loop.remove_signal_handler(signum)
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.errors import ValidationError
-
-    if args.shards < 0:
-        raise ValidationError(
-            f"--shards must be >= 0, got {args.shards}"
-        )
-    if args.shards:
-        return asyncio.run(_serve_sharded_async(args))
     return asyncio.run(_serve_async(args))
 
 

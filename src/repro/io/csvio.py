@@ -338,6 +338,10 @@ _YEAR_ONE_US = int(np.datetime64("0001-01-01", "us").astype(np.int64))
 #: The most digits whose value always fits an int64 (10**18 - 1).
 _MAX_DIGITS = 18
 #: Odd multiplier folding a field's 8-byte words into one hash key.
+#: Sorting uint64 keys beats one ``np.unique`` of the ``S{width}``
+#: view: ``read_log`` of the 30x e2e CSV took 45.6-52.8 ms with the
+#: keys and 60.0-63.1 ms with the S view alone (medians of 30 reads
+#: per process, three alternating pairs of processes, 2-CPU host).
 _WORD_MIX = np.uint64(0x9E3779B97F4A7C15)
 
 

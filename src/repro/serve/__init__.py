@@ -5,11 +5,9 @@ A dependency-free service layer over the analysis core: named datasets
 result caching (:mod:`~repro.serve.cache`), request coalescing
 (:mod:`~repro.serve.coalesce`), and admission control
 (:mod:`~repro.serve.admission`), served by ``asyncio.start_server``
-(:mod:`~repro.serve.server`).  Scale-out mode fronts N shard worker
-processes with a consistent-hashing router (:mod:`~repro.serve.shard`,
-:mod:`~repro.serve.router`) and queues expensive simulations through a
-priority job queue (:mod:`~repro.serve.jobs`).  See ``docs/SERVING.md``
-for endpoint schemas and operational semantics.
+(:mod:`~repro.serve.server`).  Expensive simulations can also be
+queued through a priority job queue (:mod:`~repro.serve.jobs`).  See
+``docs/SERVING.md`` for endpoint schemas and operational semantics.
 
 Quick start::
 
@@ -39,22 +37,14 @@ from repro.serve.registry import (
     parse_dataset_spec,
     register_from_spec,
 )
-from repro.serve.router import BackendPool, RouterApp, run_router_in_thread
 from repro.serve.server import ReproServer, ServerHandle, run_in_thread
-from repro.serve.shard import HashRing, ShardConfig, spawn_shard
-from repro.serve.stats import (
-    ServerStats,
-    merge_counter_dicts,
-    merge_server_snapshots,
-)
+from repro.serve.stats import ServerStats
 
 __all__ = [
     "ANALYSES",
     "AdmissionController",
-    "BackendPool",
     "Dataset",
     "DatasetRegistry",
-    "HashRing",
     "HttpError",
     "HttpRequest",
     "JOB_STATES",
@@ -67,21 +57,15 @@ __all__ = [
     "ReproServer",
     "ResultCache",
     "Response",
-    "RouterApp",
     "ServerHandle",
     "ServerStats",
-    "ShardConfig",
     "SimulateJob",
     "SingleFlight",
     "TokenBucket",
     "canonical_key",
     "fingerprint_file",
     "fingerprint_log",
-    "merge_counter_dicts",
-    "merge_server_snapshots",
     "parse_dataset_spec",
     "register_from_spec",
     "run_in_thread",
-    "run_router_in_thread",
-    "spawn_shard",
 ]

@@ -169,10 +169,6 @@ class ReproApp:
             batch company.
         max_replications: Per-request ensemble-size ceiling
             (admission control for the most expensive endpoint).
-        shard_index: This instance's position in a sharded
-            deployment; ``None`` for a standalone server.  When set,
-            every response carries an ``X-Shard`` header (affinity is
-            observable) and job ids embed the shard for routing.
         job_concurrency: Runner tasks draining the ``/jobs`` queue.
             More than one lets concurrent jobs micro-batch into one
             warm-pool dispatch; exactly one gives strict priority
@@ -195,7 +191,6 @@ class ReproApp:
         batch_max: int = 16,
         batch_linger_seconds: float = 0.005,
         max_replications: int = 512,
-        shard_index: int | None = None,
         job_concurrency: int | None = None,
         job_retention: int = 512,
         clock: Callable[[], float] = time.monotonic,
@@ -215,7 +210,6 @@ class ReproApp:
         self.stats = ServerStats(clock=clock)
         self.analyses = dict(ANALYSES)
         self.max_replications = max_replications
-        self.shard_index = shard_index
         self.draining = False
         self._clock = clock
         self._executor = ThreadPoolExecutor(
@@ -229,7 +223,6 @@ class ReproApp:
         )
         self.jobs = JobQueue(
             self._execute_job,
-            shard_index=shard_index if shard_index is not None else 0,
             concurrency=(
                 job_concurrency
                 if job_concurrency is not None
@@ -314,10 +307,6 @@ class ReproApp:
         self.stats.observe(
             label, response.status, self._clock() - start
         )
-        if self.shard_index is not None:
-            response.headers.setdefault(
-                "X-Shard", str(self.shard_index)
-            )
         return response
 
     @staticmethod
@@ -347,7 +336,7 @@ class ReproApp:
             return "healthz", self._healthz()
         if head == "statsz" and len(parts) == 1:
             self._require(method, "GET")
-            return "statsz", self._statsz(request)
+            return "statsz", self._statsz()
 
         # Everything below is a data/compute endpoint.  During a
         # drain, arrivals are turned away at the door — in-flight
@@ -452,17 +441,11 @@ class ReproApp:
             "jobs_queued": self.jobs.queued,
             "jobs_running": self.jobs.running,
         }
-        if self.shard_index is not None:
-            payload["shard"] = self.shard_index
         return Response(200, json_body(payload))
 
-    def _statsz(self, request: HttpRequest) -> Response:
-        # ``?states=1`` adds the raw estimator states (Welford
-        # moments, GK tuple lists) so a router can merge per-shard
-        # latency distributions instead of averaging averages.
-        include_states = request.query.get("states") in ("1", "true")
+    def _statsz(self) -> Response:
         payload = {
-            "server": self.stats.snapshot(include_states),
+            "server": self.stats.snapshot(),
             "cache": self.cache.stats(),
             "singleflight": self.singleflight.stats(),
             "batcher": self.batcher.stats(),
@@ -476,8 +459,6 @@ class ReproApp:
                 for name in self.registry.names()
             },
         }
-        if self.shard_index is not None:
-            payload["shard"] = self.shard_index
         return Response(200, json_body(payload))
 
     # -- dataset endpoints -------------------------------------------------

@@ -32,8 +32,6 @@ __all__ = [
     "HttpRequest",
     "Response",
     "read_request",
-    "render_request",
-    "read_response",
     "render_response",
     "json_body",
     "error_body",
@@ -59,7 +57,6 @@ _REASONS = {
     429: "Too Many Requests",
     431: "Request Header Fields Too Large",
     500: "Internal Server Error",
-    502: "Bad Gateway",
     503: "Service Unavailable",
 }
 
@@ -208,94 +205,6 @@ async def read_request(
         body=body,
         version=version,
     )
-
-
-def render_request(
-    method: str,
-    target: str,
-    headers: dict[str, str],
-    body: bytes = b"",
-    keep_alive: bool = True,
-) -> bytes:
-    """Serialize one client-side request to wire bytes.
-
-    The router half of the codec: requests proxied to a shard are
-    re-rendered with recomputed framing headers (``Content-Length``,
-    ``Connection``) while everything else — ``X-Client-Id``, content
-    negotiation, query strings embedded in ``target`` — passes through
-    untouched.
-    """
-    lines = [f"{method} {target} HTTP/1.1"]
-    for name, value in headers.items():
-        lowered = name.lower()
-        if lowered in ("content-length", "connection", "host"):
-            continue
-        lines.append(f"{name}: {value}")
-    lines.append("Host: shard")
-    lines.append(f"Content-Length: {len(body)}")
-    lines.append(
-        f"Connection: {'keep-alive' if keep_alive else 'close'}"
-    )
-    head = "\r\n".join(lines) + "\r\n\r\n"
-    return head.encode("latin-1") + body
-
-
-async def read_response(
-    reader: asyncio.StreamReader,
-) -> tuple[int, dict[str, str], bytes]:
-    """Read one response off a backend connection.
-
-    Returns ``(status, headers, body)`` with header names lowercased.
-
-    Raises:
-        HttpError: 502 on malformed framing (the *backend* broke
-            protocol, which the router reports as a gateway error).
-        asyncio.IncompleteReadError: If the backend disconnects
-            mid-response.
-    """
-    status_line = await _read_line(reader)
-    if not status_line:
-        raise asyncio.IncompleteReadError(b"", None)
-    try:
-        text = status_line.decode("latin-1").rstrip("\r\n")
-        version, status_text, _ = text.split(" ", 2)
-        status = int(status_text)
-    except ValueError:
-        raise HttpError(
-            502, f"malformed backend status line {status_line!r}"
-        ) from None
-    if not version.startswith("HTTP/1."):
-        raise HttpError(
-            502, f"unsupported backend protocol {version!r}"
-        )
-    headers: dict[str, str] = {}
-    total = 0
-    while True:
-        line = await _read_line(reader)
-        if line in (b"\r\n", b"\n", b""):
-            break
-        total += len(line)
-        if total > MAX_HEADER_BYTES:
-            raise HttpError(502, "backend response headers too large")
-        name, sep, value = line.decode("latin-1").partition(":")
-        if not sep:
-            raise HttpError(
-                502, f"malformed backend header line {line!r}"
-            )
-        headers[name.strip().lower()] = value.strip()
-    raw_length = headers.get("content-length", "0")
-    try:
-        content_length = int(raw_length)
-    except ValueError:
-        raise HttpError(
-            502, f"invalid backend Content-Length {raw_length!r}"
-        ) from None
-    body = (
-        await reader.readexactly(content_length)
-        if content_length > 0
-        else b""
-    )
-    return status, headers, body
 
 
 def render_response(response: Response, keep_alive: bool) -> bytes:

@@ -19,10 +19,6 @@ client can enqueue expensive what-ifs and poll:
   synchronous endpoint would use, so a later ``POST /simulate`` with
   identical parameters is a byte-identical cache hit.
 
-Job ids embed the owning shard (``s{shard}-…``) so a sharded
-deployment's router can route ``GET``/``DELETE /jobs/{id}`` back to
-the process that holds the job without a shared job store.
-
 Terminal states are exactly one of ``done`` / ``failed`` /
 ``cancelled``; a job is never lost (executor crashes surface as
 ``failed`` with the exception attributed) and never duplicated (the
@@ -111,7 +107,6 @@ class JobQueue:
         execute: Async callable turning one job's params into result
             bytes; receives ``(params, job)`` and may set
             ``job.cached``.  Exceptions mark the job ``failed``.
-        shard_index: Embedded in job ids for router affinity.
         concurrency: Runner tasks draining the queue.  More than one
             lets concurrent jobs micro-batch into a single warm-pool
             dispatch; exactly one gives strict priority order.
@@ -124,7 +119,6 @@ class JobQueue:
         self,
         execute: Callable[[dict[str, Any], "Job"], Awaitable[bytes]],
         *,
-        shard_index: int = 0,
         concurrency: int = 2,
         retention: int = 512,
         clock: Callable[[], float] = time.monotonic,
@@ -136,7 +130,6 @@ class JobQueue:
         if retention < 1:
             raise ServeError(f"retention must be >= 1, got {retention}")
         self._execute = execute
-        self.shard_index = shard_index
         self.concurrency = concurrency
         self.retention = retention
         self._clock = clock
@@ -166,7 +159,7 @@ class JobQueue:
             raise ServeError("job queue is closed (server draining)")
         seq = next(self._seq)
         job = Job(
-            id=f"s{self.shard_index}-{seq:06d}-{os.urandom(4).hex()}",
+            id=f"{seq:06d}-{os.urandom(4).hex()}",
             params=dict(params),
             priority=priority,
             seq=seq,

@@ -8,15 +8,6 @@ rank error), and the instantaneous request rate is an
 :class:`~repro.stream.online.EwmaRate` with a seconds-scale time
 constant.  ``/statsz`` is therefore O(1) memory no matter how long the
 server runs — the monitors never hold a request history.
-
-Sharded deployments roll the per-shard monitors up into one fleet
-view: a shard's ``/statsz?states=1`` response carries the raw Welford
-moments and GK tuple lists, and :func:`merge_server_snapshots`
-reassembles them with the estimators' own merge algebra
-(:meth:`Welford.merged <repro.stream.online.Welford.merged>`,
-:meth:`GKQuantileSketch.merged
-<repro.stream.online.GKQuantileSketch.merged>`) so the fleet's
-latency quantiles come from merged sketches, not averaged averages.
 """
 
 from __future__ import annotations
@@ -26,12 +17,7 @@ from typing import Any, Callable
 
 from repro.stream.online import EwmaRate, GKQuantileSketch, Welford
 
-__all__ = [
-    "EndpointStats",
-    "ServerStats",
-    "merge_counter_dicts",
-    "merge_server_snapshots",
-]
+__all__ = ["EndpointStats", "ServerStats"]
 
 #: Latency quantiles reported per endpoint.
 _QUANTILES = (0.5, 0.95, 0.99)
@@ -56,7 +42,7 @@ class EndpointStats:
         self._latency_ms.push(latency_ms)
         self._sketch.push(latency_ms)
 
-    def snapshot(self, include_states: bool = False) -> dict[str, Any]:
+    def snapshot(self) -> dict[str, Any]:
         payload: dict[str, Any] = {
             "requests": self.requests,
             "by_status": dict(sorted(self.by_status.items())),
@@ -72,11 +58,6 @@ class EndpointStats:
                     for q in _QUANTILES
                 }
             )
-        if include_states:
-            payload["states"] = {
-                "latency": self._latency_ms.state(),
-                "sketch": self._sketch.state(),
-            }
         return payload
 
 
@@ -128,7 +109,7 @@ class ServerStats:
         """EWMA request rate, decayed to now."""
         return self._rate.rate_per_hour(self._elapsed_hours()) / 3600.0
 
-    def snapshot(self, include_states: bool = False) -> dict[str, Any]:
+    def snapshot(self) -> dict[str, Any]:
         return {
             "uptime_seconds": self.uptime_seconds,
             "requests_total": self.requests_total,
@@ -136,134 +117,8 @@ class ServerStats:
             "shed_total": self.shed_total,
             "requests_per_second": self.requests_per_second(),
             "endpoints": {
-                name: stats.snapshot(include_states)
+                name: stats.snapshot()
                 for name, stats in sorted(self._endpoints.items())
             },
         }
 
-
-# --------------------------------------------------------------------------
-# Fleet rollup
-# --------------------------------------------------------------------------
-
-def merge_counter_dicts(payloads: list[dict]) -> dict[str, Any]:
-    """Merge flat counter dicts by summing ints and floats.
-
-    The generic rollup for ``/statsz`` sections that are plain
-    counters (cache, admission, single-flight, batcher, jobs):
-    numeric values are summed; non-numeric values are kept when every
-    shard agrees and dropped otherwise.  Booleans are not counters and
-    follow the agree-or-drop rule.
-    """
-    merged: dict[str, Any] = {}
-    if not payloads:
-        return merged
-    keys: list[str] = []
-    for payload in payloads:
-        for key in payload:
-            if key not in keys:
-                keys.append(key)
-    for key in keys:
-        values = [p[key] for p in payloads if key in p]
-        if all(
-            isinstance(v, (int, float)) and not isinstance(v, bool)
-            for v in values
-        ):
-            total = sum(values)
-            merged[key] = total
-        elif all(v == values[0] for v in values):
-            merged[key] = values[0]
-    return merged
-
-
-def _merge_endpoint_snapshots(snapshots: list[dict]) -> dict[str, Any]:
-    """Merge one endpoint family's per-shard snapshots."""
-    merged: dict[str, Any] = {
-        "requests": sum(s.get("requests", 0) for s in snapshots),
-        "by_status": {},
-    }
-    for snapshot in snapshots:
-        for status_class, count in snapshot.get("by_status", {}).items():
-            merged["by_status"][status_class] = (
-                merged["by_status"].get(status_class, 0) + count
-            )
-    merged["by_status"] = dict(sorted(merged["by_status"].items()))
-
-    states = [s.get("states") for s in snapshots]
-    if all(state is not None for state in states):
-        welford = Welford.merged(
-            [Welford.from_state(state["latency"]) for state in states]
-        )
-        sketch = GKQuantileSketch.merged(
-            [
-                GKQuantileSketch.from_state(state["sketch"])
-                for state in states
-            ]
-        )
-        latency: dict[str, Any] = {
-            "mean": welford.mean,
-            "std": welford.std,
-        }
-        if sketch.n:
-            latency.update(
-                {
-                    f"p{int(q * 100)}": sketch.value(q)
-                    for q in _QUANTILES
-                }
-            )
-            latency["merged_epsilon"] = sketch.epsilon
-        merged["latency_ms"] = latency
-    else:
-        # No raw states available: merge the means exactly (they are
-        # count-weighted), drop the unmergeable quantiles.
-        total = sum(
-            s.get("requests", 0)
-            for s in snapshots
-            if s.get("latency_ms")
-        )
-        if total:
-            mean = (
-                sum(
-                    s["latency_ms"].get("mean", 0.0) * s["requests"]
-                    for s in snapshots
-                    if s.get("latency_ms")
-                )
-                / total
-            )
-            merged["latency_ms"] = {"mean": mean}
-    return merged
-
-
-def merge_server_snapshots(snapshots: list[dict]) -> dict[str, Any]:
-    """Roll per-shard ``ServerStats`` snapshots up into a fleet view.
-
-    Counters sum; the request rate sums (shard rates are independent
-    EWMAs over the same wall clock); uptime reports the oldest shard;
-    per-endpoint latency distributions merge through the estimators'
-    own merge algebra when the snapshots carry raw states
-    (``/statsz?states=1``), and degrade to count-weighted means when
-    they do not.
-    """
-    endpoints: dict[str, list[dict]] = {}
-    for snapshot in snapshots:
-        for name, endpoint in snapshot.get("endpoints", {}).items():
-            endpoints.setdefault(name, []).append(endpoint)
-    return {
-        "shards": len(snapshots),
-        "uptime_seconds": max(
-            (s.get("uptime_seconds", 0.0) for s in snapshots),
-            default=0.0,
-        ),
-        "requests_total": sum(
-            s.get("requests_total", 0) for s in snapshots
-        ),
-        "errors_5xx": sum(s.get("errors_5xx", 0) for s in snapshots),
-        "shed_total": sum(s.get("shed_total", 0) for s in snapshots),
-        "requests_per_second": sum(
-            s.get("requests_per_second", 0.0) for s in snapshots
-        ),
-        "endpoints": {
-            name: _merge_endpoint_snapshots(shard_snapshots)
-            for name, shard_snapshots in sorted(endpoints.items())
-        },
-    }

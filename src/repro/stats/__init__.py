@@ -2,13 +2,11 @@
 
 This package provides the statistical primitives the paper's analyses
 rest on: empirical CDFs (Figures 6 and 9), five-number summaries for
-boxplots (Figures 7, 10 and 11), bootstrap confidence intervals,
-parametric distribution fitting, Kaplan-Meier survival estimation, and
-the correlation / goodness-of-fit tests used to check the seasonality
-claims (RQ5).
+boxplots (Figures 7, 10 and 11), parametric distribution fitting,
+Kaplan-Meier survival estimation, and the correlation / goodness-of-fit
+tests used to check the seasonality claims (RQ5).
 """
 
-from repro.stats.bootstrap import bootstrap_ci, bootstrap_mean_ci
 from repro.stats.changepoint import Changepoint, detect_changepoints
 from repro.stats.correlation import pearson, spearman
 from repro.stats.dispersion import (
@@ -35,8 +33,6 @@ __all__ = [
     "FitResult",
     "KaplanMeier",
     "SUPPORTED_DISTRIBUTIONS",
-    "bootstrap_ci",
-    "bootstrap_mean_ci",
     "chi_square_gof",
     "count_autocorrelation",
     "describe",

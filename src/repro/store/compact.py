@@ -20,7 +20,6 @@ from typing import Any
 
 import numpy as np
 
-from repro.store.manifest import commit_manifest, manifest_fingerprint
 from repro.store.reader import _remap
 from repro.store.segments import COLUMN_DTYPES, open_segment, write_segment
 
@@ -109,14 +108,11 @@ def compact_store(store) -> dict[str, Any]:
             "file": name,
         }
     ]
-    commit_manifest(store.root, updated)
-
     # The incremental views are a function of the record sequence,
     # which compaction preserves — carry them forward under the new
     # token instead of rebuilding.
     views = store.views()
-    store.manifest = updated
-    views.save(store.root, manifest_fingerprint(updated))
+    views.save(store.root, store._commit(updated))
     old_files = [s.path for s in segments]
     store.segments = [open_segment(store.root / name, verify=False)]
     store._log = None

@@ -76,17 +76,24 @@ def _body_checksum(manifest: dict[str, Any]) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def commit_manifest(root: str | Path, manifest: dict[str, Any]) -> None:
+def commit_manifest(root: str | Path, manifest: dict[str, Any]) -> str:
     """Durably replace the store's manifest with ``manifest``.
 
     The previous committed manifest (if any) survives as
     ``manifest.prev.json`` so single-step corruption of the current
-    file is recoverable.
+    file is recoverable.  The file is compact JSON; manifests written
+    indented by older versions load the same, since the checksum
+    covers the parsed body, not the file's bytes.
+
+    Returns:
+        The body checksum, for :func:`manifest_fingerprint`.
     """
     root = Path(root)
     manifest = dict(manifest)
-    manifest["checksum"] = _body_checksum(manifest)
-    blob = json.dumps(manifest, sort_keys=True, indent=1).encode("utf-8")
+    checksum = manifest["checksum"] = _body_checksum(manifest)
+    blob = json.dumps(
+        manifest, sort_keys=True, separators=(",", ":")
+    ).encode("utf-8")
 
     target = root / MANIFEST_NAME
     tmp = root / (MANIFEST_NAME + ".tmp")
@@ -106,6 +113,7 @@ def commit_manifest(root: str | Path, manifest: dict[str, Any]) -> None:
         os.fsync(fd)
     finally:
         os.close(fd)
+    return checksum
 
 
 def _parse(path: Path) -> dict[str, Any]:
@@ -156,11 +164,17 @@ def load_manifest(root: str | Path) -> tuple[dict[str, Any], bool]:
         ) from exc
 
 
-def manifest_fingerprint(manifest: dict[str, Any]) -> str:
+def manifest_fingerprint(
+    manifest: dict[str, Any], checksum: str | None = None
+) -> str:
     """Stable identity of a committed store state.
 
     Derived from the manifest body (segment digests, row counts,
     watermark), so two processes opening the same committed state —
     before and after a restart — agree, and any append changes it.
+    ``checksum`` is the value :func:`commit_manifest` returned for
+    this manifest; passing it skips hashing the body again.
     """
-    return "store-" + _body_checksum(manifest)[:32]
+    if checksum is None:
+        checksum = _body_checksum(manifest)
+    return "store-" + checksum[:32]

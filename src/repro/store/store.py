@@ -292,8 +292,23 @@ class FailureStore:
         self.quarantined: list[str] = []
         self._views: StoreViews | None = None
         self._log: FailureLog | None = None
+        # (manifest, its fingerprint): hashed once per committed state.
+        self._token: tuple[dict[str, Any], str] | None = None
 
     # -- identity ----------------------------------------------------------
+
+    def _manifest_token(self) -> str:
+        """``manifest_fingerprint`` of the current manifest."""
+        if self._token is None or self._token[0] is not self.manifest:
+            self._token = (self.manifest, manifest_fingerprint(self.manifest))
+        return self._token[1]
+
+    def _commit(self, manifest: dict[str, Any]) -> str:
+        """Commit ``manifest`` as the current one; returns its token."""
+        checksum = commit_manifest(self.root, manifest)
+        self.manifest = manifest
+        self._token = (manifest, manifest_fingerprint(manifest, checksum))
+        return self._token[1]
 
     @property
     def machine(self) -> str:
@@ -326,7 +341,7 @@ class FailureStore:
         processes and restarts and changes on every append — the
         property the serving layer's result cache keys on.
         """
-        token = manifest_fingerprint(self.manifest)
+        token = self._manifest_token()
         if self.as_of_us is not None:
             token += f"@{self.as_of_us}"
         return token
@@ -412,14 +427,13 @@ class FailureStore:
                 "window_end_us": end_us,
             }
         ]
-        commit_manifest(self.root, updated)
-        self.manifest = updated
+        token = self._commit(updated)
         self.segments = self.segments + [
             open_segment(self.root / name, verify=False)
         ]
         views.absorb(log.columns)
         self._views = views
-        views.save(self.root, manifest_fingerprint(updated))
+        views.save(self.root, token)
         self._log = None
         return {
             "segment": name,
@@ -477,7 +491,7 @@ class FailureStore:
             self._views = StoreViews(self.machine, 0)
             return self._views
         if self.as_of_us is None:
-            token = manifest_fingerprint(self.manifest)
+            token = self._manifest_token()
             loaded = StoreViews.load(self.root, token)
             if loaded is not None:
                 self._views = loaded
@@ -486,7 +500,7 @@ class FailureStore:
         views.absorb(self.log().columns)
         self._views = views
         if self.as_of_us is None:
-            views.save(self.root, manifest_fingerprint(self.manifest))
+            views.save(self.root, self._manifest_token())
         return views
 
     def payloads(self) -> dict[str, dict[str, Any]]:

@@ -121,13 +121,12 @@ class Welford:
     def merged(cls, estimators: "list[Welford]") -> "Welford":
         """Combine independent estimators (Chan et al. 1979).
 
-        The merge algebra behind fleet telemetry: each serve shard
-        keeps its own per-endpoint latency moments, and the router
-        rolls them up into one estimator whose mean is exact and whose
-        variance matches pushing every shard's observations into a
-        single accumulator (up to float rounding — *not* the
-        bit-identity contract :meth:`push_many` keeps, which is why
-        the sequential path stays separate).
+        Estimators fed from disjoint parts of one stream (per
+        partition, per worker, per time slice) combine into one whose
+        mean is exact and whose variance matches pushing every part's
+        observations into a single accumulator (up to float rounding
+        — *not* the bit-identity contract :meth:`push_many` keeps,
+        which is why the sequential path stays separate).
         """
         out = cls()
         for est in estimators:
@@ -266,8 +265,8 @@ class GKQuantileSketch:
         so every rank bound stays valid over the concatenated stream.
         The price is additive error: merging sketches of rank error
         ``eps_i * n_i`` yields a sketch whose error bound is
-        ``sum(eps_i)`` of the combined count — fine for fleet
-        telemetry rollups (a p99 over four 1%-sketches is within 4%
+        ``sum(eps_i)`` of the combined count — fine for rolling up
+        partial summaries (a p99 over four 1%-sketches is within 4%
         rank error), not a substitute for one sketch over one stream.
         """
         live = [s for s in sketches if s._n]

@@ -27,7 +27,6 @@ from repro.synth.profiles import (
     profile_for,
 )
 from repro.synth.recovery import LognormalTtrSampler, normalize_to_mean
-from repro.synth.replay import replay_source, stream_synthetic
 from repro.synth.sampling import (
     allocate_counts,
     weighted_sample_without_replacement,
@@ -57,10 +56,8 @@ __all__ = [
     "generate_log",
     "normalize_to_mean",
     "profile_for",
-    "replay_source",
     "replicate_scenario",
     "sample_node_multiplicities",
-    "stream_synthetic",
     "weighted_sample_without_replacement",
     "with_failure_rate_scaled",
     "with_operational_practices_of",

@@ -1,10 +1,11 @@
 """The ``repro-failures serve`` subcommand and its exit-code contract.
 
 The server runs as a real subprocess (signals don't cross thread
-boundaries cleanly), probed over HTTP and stopped with SIGINT.  The
-PR-3 exit-code contract must hold on the serving path too: 1 for
-domain errors (bad dataset spec), 2 for environment errors (port in
-use), 130 for Ctrl-C.
+boundaries cleanly), probed over HTTP and stopped with SIGINT or
+SIGTERM.  The CLI's exit-code contract must hold on the serving path
+too: 1 for domain errors (bad dataset spec), 2 for usage and
+environment errors (unknown flag, port in use), 130 for Ctrl-C and
+SIGTERM.
 """
 
 from __future__ import annotations
@@ -63,7 +64,10 @@ def wait_for_port(proc: subprocess.Popen, timeout: float = 60.0) -> int:
 
 
 class TestServeLifecycle:
-    def test_serves_and_exits_130_on_sigint(self):
+    @pytest.mark.parametrize(
+        "signum", [signal.SIGINT, signal.SIGTERM], ids=lambda s: s.name
+    )
+    def test_serves_and_exits_130_on_signal(self, signum):
         proc = spawn_serve(
             "--datasets", "t2=synth:tsubame2:42:60", "--cache-ttl", "60"
         )
@@ -84,7 +88,7 @@ class TestServeLifecycle:
             )
             assert analyze["machine"] == "tsubame2"
         finally:
-            proc.send_signal(signal.SIGINT)
+            proc.send_signal(signum)
             returncode = proc.wait(timeout=30)
         assert returncode == 130
 
@@ -134,6 +138,15 @@ class TestServeFailureExitCodes:
             cwd=REPO_ROOT, timeout=60,
         )
         assert result.returncode == 2
+
+    def test_unknown_shards_flag_exits_2(self):
+        result = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "serve", "--shards", "2"],
+            capture_output=True, text=True, env=serve_env(),
+            cwd=REPO_ROOT, timeout=60,
+        )
+        assert result.returncode == 2
+        assert "unrecognized arguments: --shards 2" in result.stderr
 
     def test_port_in_use_exits_2(self):
         blocker = socket.socket()

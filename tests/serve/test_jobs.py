@@ -9,6 +9,7 @@ never lost, never runs twice, and cancellations carry attribution
 from __future__ import annotations
 
 import asyncio
+import re
 
 import pytest
 
@@ -102,7 +103,7 @@ def test_cancel_queued_vs_running_vs_terminal():
         with pytest.raises(JobConflict):
             queue.cancel(queued.id)  # already terminal
         with pytest.raises(ServeError):
-            queue.cancel("s0-999999-deadbeef")  # unknown
+            queue.cancel("999999-deadbeef")  # unknown
 
         release.set()
         await wait_terminal(queue, running)
@@ -165,19 +166,21 @@ def test_drain_cancels_queued_with_attribution():
     run(scenario())
 
 
-def test_job_ids_embed_shard_for_router_affinity():
+def test_job_ids_are_sequence_then_nonce():
     async def scenario():
         async def execute(params, job):
             return b""
 
-        queue = JobQueue(execute, shard_index=3)
-        job = queue.submit({})
-        await wait_terminal(queue, job)
+        queue = JobQueue(execute)
+        jobs = [queue.submit({}) for _ in range(2)]
+        for job in jobs:
+            await wait_terminal(queue, job)
         await queue.close()
-        return job
+        return jobs
 
-    job = run(scenario())
-    assert job.id.startswith("s3-")
+    ids = [job.id for job in run(scenario())]
+    assert [job_id.split("-")[0] for job_id in ids] == ["000000", "000001"]
+    assert all(re.fullmatch(r"\d{6}-[0-9a-f]{8}", job_id) for job_id in ids)
 
 
 def test_retention_forgets_oldest_finished_only():

@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.errors import StoreCorruptError
+from repro.store import init_store, open_store
+from repro.store import manifest as manifest_module
 from repro.store.manifest import (
     MANIFEST_NAME,
     PREV_MANIFEST_NAME,
@@ -15,7 +18,13 @@ from repro.store.manifest import (
     manifest_fingerprint,
     new_manifest,
 )
+from repro.synth import generate_log
 from repro.testing import flip_byte, truncate_file
+
+#: The manifest an indented-JSON writer committed after appending
+#: ``generate_log("tsubame2", seed=3)`` to an empty tsubame2 store.
+INDENTED_MANIFEST = Path(__file__).parent / "data" / "manifest_indent1.json"
+INDENTED_FINGERPRINT = "store-addc72a6b1ff5ace86e7d1b2b77d3148"
 
 
 def _fresh(tmp_path):
@@ -127,3 +136,54 @@ class TestFingerprint:
         assert manifest_fingerprint(loaded) == manifest_fingerprint(
             manifest
         )
+
+    def test_file_is_compact_json(self, tmp_path):
+        _fresh(tmp_path)
+        raw = (tmp_path / MANIFEST_NAME).read_bytes()
+        assert b"\n" not in raw
+        assert b", " not in raw and b": " not in raw
+
+    def test_commit_returns_the_checksum_it_wrote(self, tmp_path):
+        checksum = commit_manifest(tmp_path, new_manifest("tsubame2", 1, True))
+        loaded = load_manifest(tmp_path)[0]
+        assert loaded["checksum"] == checksum
+        assert manifest_fingerprint(loaded, checksum) == manifest_fingerprint(
+            loaded
+        )
+
+
+class TestStoreChecksums:
+    def test_one_body_checksum_per_append(self, tmp_path, monkeypatch):
+        log = generate_log("tsubame2", seed=3)
+        store = init_store(tmp_path / "s", "tsubame2")
+        store.append(log.records[:300])
+        calls = []
+        real = manifest_module._body_checksum
+
+        def counting(manifest):
+            calls.append(1)
+            return real(manifest)
+
+        monkeypatch.setattr(manifest_module, "_body_checksum", counting)
+        for start in (300, 600):
+            del calls[:]
+            summary = store.append(log.records[start:start + 300])
+            assert len(calls) == 1
+            assert summary["fingerprint"] == store.fingerprint
+        assert len(calls) == 1
+        monkeypatch.undo()
+        reopened = open_store(tmp_path / "s")
+        assert reopened.fingerprint == store.fingerprint
+        assert reopened.views().rows == len(log)
+
+    def test_indented_manifest_still_loads(self, tmp_path):
+        root = tmp_path / "s"
+        store = init_store(root, "tsubame2")
+        store.append(generate_log("tsubame2", seed=3))
+        assert store.fingerprint == INDENTED_FINGERPRINT
+        (root / MANIFEST_NAME).write_bytes(INDENTED_MANIFEST.read_bytes())
+        reopened = open_store(root)
+        assert reopened.recovered is False
+        assert reopened.fingerprint == INDENTED_FINGERPRINT
+        assert reopened.manifest == json.loads(INDENTED_MANIFEST.read_bytes())
+        assert len(reopened.log()) == len(generate_log("tsubame2", seed=3))

@@ -1,6 +1,7 @@
 """Tests for the incremental estimators."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -206,3 +207,53 @@ class TestPushMany:
         assert batched.size == single.size
         for q in (0.1, 0.5, 0.9, 0.99):
             assert batched.value(q) == single.value(q)
+
+
+class TestWelfordMerge:
+    def test_merged_matches_single_pass(self):
+        rng = random.Random(11)
+        values = [rng.gauss(50.0, 12.0) for _ in range(9000)]
+        parts = [Welford() for _ in range(4)]
+        for i, value in enumerate(values):
+            parts[i % 4].push(value)
+        merged = Welford.merged(parts)
+        exact = Welford()
+        exact.push_many(values)
+        assert merged.n == exact.n
+        assert merged.mean == pytest.approx(exact.mean, rel=1e-12)
+        assert merged.std == pytest.approx(exact.std, rel=1e-9)
+
+    def test_empty_and_singleton_edges(self):
+        assert Welford.merged([]).n == 0
+        solo = Welford()
+        solo.push(3.0)
+        merged = Welford.merged([Welford(), solo, Welford()])
+        assert merged.n == 1
+        assert merged.mean == 3.0
+
+
+class TestSketchMerge:
+    def test_merged_rank_error_within_summed_epsilon(self):
+        rng = random.Random(7)
+        values = [rng.lognormvariate(1.0, 0.8) for _ in range(8000)]
+        sketches = [GKQuantileSketch(epsilon=0.01) for _ in range(4)]
+        for i, value in enumerate(values):
+            sketches[i % 4].push(value)
+        merged = GKQuantileSketch.merged(sketches)
+        assert merged.n == len(values)
+        assert merged.epsilon == pytest.approx(0.04)
+        ordered = sorted(values)
+        for q in (0.1, 0.5, 0.9, 0.99):
+            estimate = merged.value(q)
+            rank = sum(1 for v in ordered if v <= estimate)
+            error = abs(rank - q * len(values)) / len(values)
+            assert error <= merged.epsilon + 1e-9, (q, error)
+
+    def test_merge_of_one_is_identity(self):
+        sketch = GKQuantileSketch(epsilon=0.01)
+        for value in range(100):
+            sketch.push(float(value))
+        merged = GKQuantileSketch.merged([sketch])
+        assert merged.value(0.5) == pytest.approx(
+            sketch.value(0.5)
+        )
