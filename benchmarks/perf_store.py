@@ -19,7 +19,11 @@ Three sections, written to ``BENCH_store.json`` at the repo root:
   (including the views delta-update and save) vs recomputing all
   five analyses from scratch over the grown log.  Must be >= 5x
   faster at the default scale, with parity asserted again after the
-  append.
+  append.  ``absorb_py_calls`` counts the calls cProfile sees inside
+  ``StoreViews.absorb`` for one calibrated 1x batch, and
+  ``absorb_keys`` the distinct tally keys it touches; calls beyond
+  one per key stay below the batch's rows unless the views loop per
+  row.
 
 Run::
 
@@ -33,11 +37,13 @@ scales just record their numbers.
 
 from __future__ import annotations
 
+import cProfile
 import dataclasses
 import gc
 import json
 import os
 import platform
+import pstats
 import shutil
 import tempfile
 import time
@@ -51,7 +57,7 @@ from repro.io import read_log, write_csv
 from repro.serve.app import ANALYSES
 from repro.serve.http import json_body
 from repro.store import init_store, open_store
-from repro.store.views import verify_parity
+from repro.store.views import StoreViews, verify_parity
 from repro.synth import GeneratorConfig, generate_log
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -225,6 +231,34 @@ def _bench_incremental(log: FailureLog, root: Path) -> dict:
             recompute_s / append_s if append_s else float("inf")
         ),
         "parity_ok": True,
+        **_absorb_calls(log, store.manifest["window_start_us"]),
+    }
+
+
+def _absorb_calls(log: FailureLog, window_start_us: int) -> dict:
+    """cProfile's call count in ``StoreViews.absorb`` for one 1x batch.
+
+    The batch is the log's first calibrated tile, so it spans the
+    nodes, months and categories a real append does.  The views do a
+    little work per distinct tally key; beyond one call per key, the
+    count stays below the batch's rows unless the views loop per row.
+    Deterministic for the seed.
+    """
+    views = StoreViews(log.machine, window_start_us)
+    profiler = cProfile.Profile()
+    profiler.runcall(views.absorb, log.columns.mask(
+        np.arange(len(log)) < BASE_FAILURES
+    ))
+    keys = sum(
+        len(tally) for tally in (
+            views.category_counts, views.node_counts,
+            views.month_counts, views.involvement,
+        )
+    )
+    return {
+        "absorb_rows": views.rows,
+        "absorb_keys": keys,
+        "absorb_py_calls": pstats.Stats(profiler).total_calls,
     }
 
 
@@ -280,7 +314,9 @@ def main() -> None:
     print(
         f"incremental: append+update {1e3 * incremental['append_update_s']:.1f} ms vs "
         f"recompute {1e3 * incremental['full_recompute_s']:.1f} ms "
-        f"({incremental['speedup']:.1f}x, parity verified)"
+        f"({incremental['speedup']:.1f}x, parity verified, "
+        f"{incremental['absorb_py_calls']} calls in absorb for "
+        f"{incremental['absorb_keys']} keys)"
     )
     write_report(results)
     print(f"wrote {REPORT_PATH}")

@@ -9,7 +9,10 @@ cold parse-and-recompute path, and an incremental append-update beats
 a full recomputation by >= 5x.  The speed floors are asserted at the
 acceptance scale (100x, the default); reduced-scale smoke runs record
 their numbers without asserting ratios a small input cannot honestly
-support.
+support.  A deterministic counter is asserted at every scale: beyond
+one call per distinct tally key, ``StoreViews.absorb`` makes fewer
+calls than a calibrated batch has rows, so a per-row Python loop in
+the views fails.
 """
 
 import json
@@ -65,3 +68,13 @@ def test_incremental_update_floor(results):
             f"{incremental['speedup']:.1f}x recorded in BENCH_store.json"
         )
     assert incremental["speedup"] >= 5.0, incremental
+
+
+def test_absorb_makes_no_call_per_row(results):
+    # One call per distinct node, month, category or involvement key
+    # is allowed; the rest must stay below one call per row.
+    incremental = results["incremental"]
+    per_key = incremental["absorb_keys"]
+    assert incremental["absorb_py_calls"] - per_key < (
+        incremental["absorb_rows"]
+    ), incremental

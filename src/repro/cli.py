@@ -886,29 +886,31 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return asyncio.run(_serve_async(args))
 
 
-def _store_info_lines(info: dict) -> list[str]:
+def _store_info_lines(store) -> list[str]:
+    # From the handle and its manifest alone: O(1) in the store's size.
+    manifest = store.manifest
     lines = [
-        f"machine:          {info['machine']}",
-        f"rows:             {info['rows']}",
-        f"segments:         {info['segments']} "
-        f"(generation {info['generation']}, "
-        f"{info['appends']} appends)",
-        f"schema version:   {info['schema_version']}",
-        f"strict taxonomy:  {info['strict_taxonomy']}",
-        f"fingerprint:      {info['fingerprint']}",
+        f"machine:          {store.machine}",
+        f"rows:             {store.rows}",
+        f"segments:         {len(store.segments)} "
+        f"(generation {manifest['generation']}, "
+        f"{len(manifest['appends'])} appends)",
+        f"schema version:   {manifest['schema_version']}",
+        f"strict taxonomy:  {store.strict_taxonomy}",
+        f"fingerprint:      {store.fingerprint}",
     ]
-    if "window_start" in info:
-        lines.append(f"window:           {info['window_start']} .. "
-                     f"{info['window_end']}")
-    if "watermark" in info:
-        lines.append(f"watermark:        {info['watermark']}")
-    if "as_of" in info:
-        lines.append(f"as of:            {info['as_of']}")
-    if info["recovered"]:
+    if store.window is not None:
+        start, end = store.window
+        lines.append(f"window:           {start.isoformat()} .. "
+                     f"{end.isoformat()}")
+    if store.watermark is not None and store.as_of is None:
+        lines.append(f"watermark:        {store.watermark.isoformat()}")
+    if store.as_of is not None:
+        lines.append(f"as of:            {store.as_of.isoformat()}")
+    if store.recovered:
         lines.append("recovered:        yes (a torn tail was dropped)")
-    if info["quarantined"]:
-        lines.append("quarantined:      "
-                     + ", ".join(info["quarantined"]))
+    if store.quarantined:
+        lines.append("quarantined:      " + ", ".join(store.quarantined))
     return lines
 
 
@@ -934,7 +936,7 @@ def _cmd_store(args: argparse.Namespace) -> int:
         return 0
 
     if args.store_command == "info":
-        for line in _store_info_lines(open_store(args.path).info()):
+        for line in _store_info_lines(open_store(args.path)):
             print(line)
         return 0
 
@@ -953,13 +955,14 @@ def _cmd_store(args: argparse.Namespace) -> int:
     # O(1) in the store's size for a full handle.
     store = open_store(args.path, as_of=args.as_of)
     payloads = store.payloads()
-    info = store.info()
-    when = info.get("as_of", "latest")
+    when = "latest" if store.as_of is None else store.as_of.isoformat()
     print(f"machine:          {store.machine}")
     print(f"state:            {when} ({store.rows} failures)")
-    if "window_start" in info:
-        print(f"window:           {info['window_start']} .. "
-              f"{info['window_end']}")
+    window = store.window
+    if window is not None:
+        start, end = window
+        print(f"window:           {start.isoformat()} .. "
+              f"{end.isoformat()}")
     metrics_payload = payloads.get("metrics")
     if metrics_payload is not None:
         print(f"MTBF:             {metrics_payload['mtbf_hours']:.1f} h")

@@ -38,6 +38,8 @@ from datetime import datetime
 from pathlib import Path
 from typing import Any, Iterable
 
+import numpy as np
+
 from repro.core.records import FailureLog, FailureRecord
 from repro.errors import StoreCorruptError, StoreError
 from repro.machines.specs import get_machine
@@ -61,6 +63,7 @@ from repro.store.segments import (
 )
 from repro.store.views import StoreViews
 from repro.store.writer import batch_columns, normalize_batch
+from repro.stream.online import RATE_TAU_HOURS
 
 __all__ = ["FailureStore", "ingest_log", "init_store", "open_store"]
 
@@ -334,6 +337,21 @@ class FailureStore:
         return us_to_datetime(us) if us is not None else None
 
     @property
+    def as_of(self) -> datetime | None:
+        """The event time an ``as_of`` handle sees up to (else None)."""
+        us = self.as_of_us
+        return us_to_datetime(us) if us is not None else None
+
+    @property
+    def window(self) -> tuple[datetime, datetime] | None:
+        """The observation window this handle sees (None when empty);
+        an ``as_of`` handle's ends at ``as_of``."""
+        start_us = self.manifest["window_start_us"]
+        if start_us is None:
+            return None
+        return us_to_datetime(start_us), us_to_datetime(self._window_end_us)
+
+    @property
     def fingerprint(self) -> str:
         """Stable identity of the committed state this handle sees.
 
@@ -525,18 +543,31 @@ class FailureStore:
             "recovered": self.recovered,
             "quarantined": list(self.quarantined),
         }
-        if manifest["window_start_us"] is not None:
-            summary["window_start"] = us_to_datetime(
-                manifest["window_start_us"]
-            ).isoformat()
-            summary["window_end"] = us_to_datetime(
-                self._window_end_us
-            ).isoformat()
+        window = self.window
+        if window is not None:
+            summary["window_start"] = window[0].isoformat()
+            summary["window_end"] = window[1].isoformat()
         if self.watermark is not None and self.as_of_us is None:
             summary["watermark"] = self.watermark.isoformat()
-        if self.as_of_us is not None:
-            summary["as_of"] = us_to_datetime(self.as_of_us).isoformat()
-        summary["analytics"] = self.views().info()
+        if self.as_of is not None:
+            summary["as_of"] = self.as_of.isoformat()
+        summary["analytics"] = analytics = self.views().info()
+        if "ttr_hours" in analytics:
+            # Exact on each call (NumPy's linear quantiles) over the
+            # visible records; the views keep nothing per row.
+            cols = self.columns()
+            ts_hours = cols.ts_hours
+            p50, p90, p99 = np.quantile(cols.ttr_hours, (0.5, 0.9, 0.99))
+            analytics["ttr_hours"].update(
+                p50=float(p50), p90=float(p90), p99=float(p99)
+            )
+            if "tbf_hours" in analytics:
+                analytics["tbf_hours"]["p50"] = float(
+                    np.quantile(np.diff(ts_hours), 0.5)
+                )
+            # EwmaRate's decayed mass, evaluated at the last failure.
+            mass = np.exp((ts_hours - ts_hours[-1]) / RATE_TAU_HOURS).sum()
+            analytics["recent_rate_per_hour"] = float(mass) / RATE_TAU_HOURS
         return summary
 
     # -- maintenance -------------------------------------------------------

@@ -6,8 +6,8 @@ metrics, spatial, seasonal, multigpu — without touching the event
 columns.  :meth:`StoreViews.absorb` folds a
 :class:`~repro.core.columns.ColumnarView` into them: each appended
 batch's, so analytics cost O(batch), not O(store), or on a rebuild the
-whole store's.  The :mod:`repro.stream.online` estimators (Welford
-means, GK quantile sketches, an EWMA rate) are the merge algebra.
+whole store's.  Integer tallies and :class:`~repro.stream.online.Welford`
+means are the merge algebra; nothing is kept per row.
 
 Each analysis has one formulation, shared with the cold
 :mod:`repro.core` kernels: their counting helpers give the integer
@@ -25,10 +25,9 @@ property suite, and the store benchmark):
   and exact integer microsecond sums, which round differently in the
   last bits;
 * the state depends only on the record *sequence*, never on how it
-  was split into batches — Welford/GK updates are per-element and the
+  was split into batches — Welford updates are per-element and the
   multi-GPU clustering sums are exact integers — so a rebuild
-  reproduces the incremental state bit-for-bit (the lone exception,
-  the EWMA mass, is diagnostic-only and never enters a payload).
+  reproduces the incremental state bit-for-bit.
 """
 
 from __future__ import annotations
@@ -62,13 +61,13 @@ from repro.core.seasonal import MONTHS, MonthlyFailureCounts, month_counts
 from repro.core.spatial import NodeFailureDistribution, node_counts
 from repro.errors import AnalysisError, StoreCorruptError, TaxonomyError
 from repro.machines.specs import get_machine
-from repro.stream.online import EwmaRate, GKQuantileSketch, Welford
+from repro.stream.online import Welford
 
 __all__ = ["StoreViews", "VIEWS_NAME", "verify_parity"]
 
 VIEWS_NAME = "views.json"
 
-_STATE_VERSION = 2
+_STATE_VERSION = 3
 _STATE_KEY = b', "state": '
 _US_PER_HOUR = 3_600_000_000
 #: Persisted fields by kind, besides machine, window, category counts
@@ -80,10 +79,7 @@ _INTS = (
 )
 _OPTIONAL_INTS = ("last_ts_us", "last_multi_us")
 _INT_KEYED = ("node_counts", "month_counts", "involvement")
-_ESTIMATORS = {
-    "ttr": Welford, "gaps": Welford, "ttr_sketch": GKQuantileSketch,
-    "gap_sketch": GKQuantileSketch, "rate": EwmaRate,
-}
+_WELFORDS = ("ttr", "gaps")
 
 
 class StoreViews:
@@ -113,10 +109,6 @@ class StoreViews:
         self.gaps_multi_us = 0
         self.gaps_single_count = 0
         self.gaps_single_us = 0
-        # Diagnostic estimators (store info, never in payloads).
-        self.ttr_sketch = GKQuantileSketch()
-        self.gap_sketch = GKQuantileSketch()
-        self.rate = EwmaRate()
 
     # -- delta maintenance -------------------------------------------------
 
@@ -142,7 +134,6 @@ class StoreViews:
                 ttr[months == month]
             )
         self.ttr.push_many(ttr)
-        self.ttr_sketch.push_many(ttr)
 
         # MTBF gaps in the same float domain as the cold kernel:
         # hour offsets from the window start, then differences, so
@@ -156,19 +147,7 @@ class StoreViews:
         else:
             gap_values = np.diff(ts_hours)
         self.gaps.push_many(gap_values)
-        self.gap_sketch.push_many(gap_values)
         self.last_ts_us = int(ts_us[-1])
-
-        rate = self.rate.state()
-        tau = rate["tau"]
-        last_hour = float(ts_hours[-1])
-        decayed = rate["mass"] * math.exp(
-            -(last_hour - rate["last"]) / tau
-        ) + float(np.sum(np.exp(-(last_hour - ts_hours) / tau)))
-        self.rate = EwmaRate.from_state(
-            {"tau": tau, "mass": decayed, "last": last_hour,
-             "count": rate["count"] + n}
-        )
 
         # Multi-GPU clustering, summed exactly in Python ints.
         involved = np.nonzero(cols.gpu_counts > 0)[0]
@@ -239,7 +218,7 @@ class StoreViews:
         })
 
     def info(self) -> dict[str, Any]:
-        """Diagnostic summary for ``store info`` / dataset describe."""
+        """Counts and means for ``FailureStore.info()``'s analytics."""
         summary: dict[str, Any] = {
             "rows": self.rows,
             "categories": len(self.category_counts),
@@ -247,19 +226,9 @@ class StoreViews:
             "gpu_involved_failures": sum(self.involvement.values()),
         }
         if self.ttr.n:
-            summary["ttr_hours"] = {
-                "mean": self.ttr.mean,
-                "p50": self.ttr_sketch.value(0.5),
-                "p90": self.ttr_sketch.value(0.9),
-                "p99": self.ttr_sketch.value(0.99),
-            }
+            summary["ttr_hours"] = {"mean": self.ttr.mean}
         if self.gaps.n:
-            summary["tbf_hours"] = {
-                "mean": self.gaps.mean,
-                "p50": self.gap_sketch.value(0.5),
-            }
-        if self.rate.count:
-            summary["recent_rate_per_hour"] = self.rate.rate_per_hour()
+            summary["tbf_hours"] = {"mean": self.gaps.mean}
         return summary
 
     # -- persistence -------------------------------------------------------
@@ -280,7 +249,7 @@ class StoreViews:
             state[name] = getattr(self, name)
         for name in _INT_KEYED:
             state[name] = {str(k): n for k, n in getattr(self, name).items()}
-        for name in _ESTIMATORS:
+        for name in _WELFORDS:
             state[name] = getattr(self, name).state()
         return state
 
@@ -305,8 +274,8 @@ class StoreViews:
             setattr(views, name, {
                 int(key): int(count) for key, count in state[name].items()
             })
-        for name, kind in _ESTIMATORS.items():
-            setattr(views, name, kind.from_state(state[name]))
+        for name in _WELFORDS:
+            setattr(views, name, Welford.from_state(state[name]))
         return views
 
     def save(self, root: str | Path, token: str) -> None:

@@ -37,7 +37,11 @@ __all__ = [
     "EwmaRate",
     "OnlineMtbf",
     "OnlineMttr",
+    "RATE_TAU_HOURS",
 ]
+
+#: Default time constant of :class:`EwmaRate`: one week.
+RATE_TAU_HOURS = 168.0
 
 
 class Welford:
@@ -231,28 +235,14 @@ class GKQuantileSketch:
 
     @classmethod
     def from_state(cls, state: dict) -> "GKQuantileSketch":
-        """Rebuild a sketch from a :meth:`state` snapshot.
-
-        The tuples are built on the sketch's first use, so restoring a
-        sketch that is never queried (a store's diagnostic sketches on
-        the serving path) costs no object per tuple.
-        """
+        """Rebuild a sketch from a :meth:`state` snapshot."""
         sketch = cls(epsilon=float(state["epsilon"]))
         sketch._n = int(state["n"])
-        del sketch._tuples
-        sketch._saved_tuples = state["tuples"]
-        return sketch
-
-    def __getattr__(self, name: str):
-        # Reached only for attributes not set: a restored sketch's
-        # tuples before their first use.
-        if name != "_tuples" or "_saved_tuples" not in self.__dict__:
-            raise AttributeError(name)
-        self._tuples = [
+        sketch._tuples = [
             _GKTuple(float(value), int(g), int(delta))
-            for value, g, delta in self.__dict__.pop("_saved_tuples")
+            for value, g, delta in state["tuples"]
         ]
-        return self._tuples
+        return sketch
 
     @classmethod
     def merged(
@@ -391,7 +381,7 @@ class EwmaRate:
     rate r, the estimate converges to r.
     """
 
-    def __init__(self, tau_hours: float = 168.0) -> None:
+    def __init__(self, tau_hours: float = RATE_TAU_HOURS) -> None:
         if tau_hours <= 0:
             raise StreamError(
                 f"tau_hours must be positive, got {tau_hours}"

@@ -76,6 +76,31 @@ class TestLifecycle:
         assert cutoff.isoformat() in out
 
 
+    def test_info_reads_neither_views_nor_columns(
+        self, tmp_path, t2_small, halves, capsys, monkeypatch
+    ):
+        # Served from the handle and its manifest, so O(1) in the
+        # store's size.
+        from repro.store.store import FailureStore
+
+        store = tmp_path / "events.store"
+        main(["store", "init", str(store), "--machine", "tsubame2"])
+        for path in halves:
+            main(["store", "append", str(store), str(path)])
+        capsys.readouterr()
+
+        def refuse(self):
+            raise AssertionError("store info must not load the log")
+
+        monkeypatch.setattr(FailureStore, "views", refuse)
+        monkeypatch.setattr(FailureStore, "log", refuse)
+        assert main(["store", "info", str(store)]) == 0
+        out = capsys.readouterr().out
+        assert f"rows:             {len(t2_small)}" in out
+        assert "window:           " in out
+        assert "watermark:        " in out
+
+
 class TestErrors:
     def test_reappend_same_file_is_a_domain_error(
         self, tmp_path, halves, capsys
