@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Trace benchmark: recording overhead, replay speed, codec throughput.
 
-Three sections, written to ``BENCH_trace.json`` at the repo root:
+Four sections, written to ``BENCH_trace.json`` at the repo root:
 
 * ``recording`` — the headline claim: attaching a
   :class:`repro.trace.TraceRecorder` to a full workload simulation
@@ -16,9 +16,17 @@ Three sections, written to ``BENCH_trace.json`` at the repo root:
   the recorded trace, as lines/second, with the round trip asserted
   byte-identical, and ``compare_traces`` of the recorded trace
   against its bit-exact replay (``compare_s``).  Its frozen
-  ``before_codec`` block holds the same numbers as last measured when
-  every comparison formatted both traces' lines and every line went
-  through ``json.loads``.
+  ``before_rows`` block holds the same numbers, and the ``op`` facts
+  below, as last measured when the recorder, the parser and the
+  comparison built an event dict per event.
+* ``op`` — the record -> write -> read -> verified replay operation of
+  the end-to-end ``trace`` workload (Tsubame-3 with ``WorkloadConfig()``,
+  300 h), run for ``OP_REPS`` seeds after a warm-up and a full
+  collection: ``event_dicts``, the event dicts ``Trace.events`` built
+  across every op's recorded, parsed and replayed traces (read from
+  the traces' state, so nothing in ``src/`` counts them), and
+  ``gc_collections``, the generation 0/1/2 collections of those ops,
+  counted with ``gc.callbacks``.
 
 Run::
 
@@ -34,9 +42,11 @@ simulated horizon (default 1000 hours).
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import platform
+import tempfile
 import time
 from pathlib import Path
 
@@ -47,7 +57,15 @@ from repro.sim import (
     ClusterSimulator,
     WorkloadConfig,
 )
-from repro.trace import TraceRecorder, compare_traces, parse_trace, replay
+from repro.trace import (
+    TraceRecorder,
+    compare_traces,
+    parse_trace,
+    read_trace,
+    record_run,
+    replay,
+    write_trace,
+)
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 REPORT_PATH = REPO_ROOT / "BENCH_trace.json"
@@ -55,25 +73,38 @@ REPORT_PATH = REPO_ROOT / "BENCH_trace.json"
 BENCH_SEED = 42
 BENCH_MACHINE = "tsubame3"
 OVERHEAD_FLOOR_PCT = 10.0
+#: The end-to-end ``trace`` workload's operation.
+OP_MACHINE = "tsubame3"
+OP_HORIZON = 300.0
+#: Operations counted, one seed each, after a full collection.
+OP_REPS = 10
 
-#: The ``codec`` section as last measured with ``compare_traces``
-#: formatting every event line of both traces and ``parse_trace``
-#: decoding each line with ``json.loads``.
+#: The ``codec`` section and the ``op`` block as last measured on the
+#: dict codec, which built an event dict per event in
+#: ``TraceRecorder.finalize`` and ``parse_trace`` and checked every one
+#: with ``is_plain_event`` in ``compare_traces``.
 CODEC_BEFORE = {
     "note": (
-        "format-everything compare_traces and json.loads parse_trace: "
-        "this section of the current perf_trace.py run on the previous "
-        "trace codec, per-field medians of seven runs alternating with "
-        "the current codec's, pinned to one CPU of a shared 2-CPU host "
-        "(Python 3.11.7, NumPy 2.4.6); not re-measured"
+        "dict codec (an event dict per event in finalize and "
+        "parse_trace, is_plain_event per event in compare_traces): this "
+        "section and the op block of the current perf_trace.py run on "
+        "the previous trace codec, per-field medians of seven runs "
+        "alternating with the row codec's, pinned to one CPU of a "
+        "shared 2-CPU host (Python 3.11.7, NumPy 2.4.6); not re-measured"
     ),
     "horizon_hours": 1000.0,
     "lines": 6086,
-    "dumps_s": 0.022411009998904774,
-    "parse_s": 0.03498197299995809,
-    "compare_s": 0.05112610900323489,
-    "dumps_lines_per_s": 271562.950545175,
-    "parse_lines_per_s": 173975.3215179513,
+    "dumps_s": 0.01421547400241252,
+    "parse_s": 0.016754768003011122,
+    "compare_s": 0.008996592994662933,
+    "dumps_lines_per_s": 428125.01355685643,
+    "parse_lines_per_s": 363239.88484389876,
+    "op": {
+        "ops": 10,
+        "op_s": 0.03190252149943262,
+        "event_dicts": 53577,
+        "gc_collections": [121, 11, 1],
+    },
 }
 
 
@@ -153,9 +184,9 @@ def _bench_replay(reps: int, horizon: float) -> dict:
         assert result.bit_exact
     replay_s = min(times)
     return {
-        "events": len(trace.events),
+        "events": trace.event_count,
         "replay_s": replay_s,
-        "events_per_s": len(trace.events) / replay_s,
+        "events_per_s": trace.event_count / replay_s,
         "bit_exact": True,
     }
 
@@ -192,7 +223,55 @@ def _bench_codec(reps: int, horizon: float) -> dict:
         "dumps_lines_per_s": lines / dumps_s,
         "parse_lines_per_s": lines / parse_s,
         "round_trip_ok": True,
-        "before_codec": CODEC_BEFORE,
+        "before_rows": CODEC_BEFORE,
+    }
+
+
+def _event_dicts(trace) -> int:
+    """Event dicts a trace holds: none while it holds rows."""
+    return 0 if trace._events is None else len(trace._events)
+
+
+def _op(seed: int, path: Path) -> tuple:
+    simulator = ClusterSimulator(
+        OP_MACHINE, seed=seed, workload=WorkloadConfig()
+    )
+    _, recorded = record_run(simulator, OP_HORIZON)
+    write_trace(recorded, path)
+    parsed, _ = read_trace(path)
+    result = replay(parsed)  # raises on any divergence
+    return recorded, parsed, result.trace
+
+
+def _bench_op() -> dict:
+    collections = [0, 0, 0]
+
+    def count(phase: str, info: dict) -> None:
+        if phase == "start":
+            collections[info["generation"]] += 1
+
+    event_dicts = 0
+    times: list[float] = []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "run.trace.jsonl"
+        _op(BENCH_SEED, path)  # warmup
+        gc.collect()
+        gc.callbacks.append(count)
+        try:
+            for index in range(OP_REPS):
+                start = time.perf_counter()
+                traces = _op(BENCH_SEED + index, path)
+                times.append(time.perf_counter() - start)
+                event_dicts += sum(map(_event_dicts, traces))
+        finally:
+            gc.callbacks.remove(count)
+    return {
+        "machine": OP_MACHINE,
+        "horizon_hours": OP_HORIZON,
+        "ops": OP_REPS,
+        "op_s": float(np.median(times)),
+        "event_dicts": event_dicts,
+        "gc_collections": collections,
     }
 
 
@@ -212,6 +291,7 @@ def run_benchmark() -> dict:
         "recording": _bench_recording(reps, horizon),
         "replay": _bench_replay(reps, horizon),
         "codec": _bench_codec(reps, horizon),
+        "op": _bench_op(),
     }
 
 
@@ -236,7 +316,7 @@ def main() -> None:
         f"({rep['events_per_s']:.0f} events/s, bit-exact)"
     )
     codec = results["codec"]
-    before = codec["before_codec"]
+    before = codec["before_rows"]
     print(
         f"codec: dumps {codec['dumps_lines_per_s']:.0f} lines/s, "
         f"parse {codec['parse_lines_per_s']:.0f} lines/s "
@@ -244,6 +324,13 @@ def main() -> None:
         f"{1e3 * codec['compare_s']:.1f} ms; before: parse "
         f"{before['parse_lines_per_s']:.0f} lines/s, compare "
         f"{1e3 * before['compare_s']:.1f} ms"
+    )
+    op = results["op"]
+    print(
+        f"op: {op['ops']} ops, median {1e3 * op['op_s']:.0f} ms, "
+        f"{op['event_dicts']} event dicts, gc collections "
+        f"{op['gc_collections']}; before: {before['op']['event_dicts']} "
+        f"event dicts, gc collections {before['op']['gc_collections']}"
     )
     write_report(results)
     print(f"wrote {REPORT_PATH}")

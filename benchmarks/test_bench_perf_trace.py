@@ -5,8 +5,9 @@ Runs the full :mod:`perf_trace` benchmark, writes ``BENCH_trace.json``,
 and asserts the claims: recording a full workload simulation through
 the pub/sub bus costs <= 10% wall-clock overhead, replay reproduces
 the recording bit-exactly (asserted *inside* the benchmark before any
-number is reported), the codec round trip is byte-identical, and the
-codec's frozen ``before_codec`` block is unchanged.  The
+number is reported), the codec round trip is byte-identical, the
+codec's frozen ``before_rows`` block is unchanged, and the
+record -> write -> read -> replay op builds no event dict.  The
 overhead floor is asserted at >= 5 interleaved repetitions (the
 default 7); reduced-rep smoke runs record their numbers without
 asserting a ratio that timing noise cannot honestly support.
@@ -48,12 +49,24 @@ def test_replay_bit_exact_and_report_complete(results):
 
 def test_codec_before_block_is_frozen(results):
     codec = results["codec"]
-    before = codec["before_codec"]
+    before = codec["before_rows"]
     assert before == perf_trace.CODEC_BEFORE
     assert "not re-measured" in before["note"]
     if results["horizon_hours"] == before["horizon_hours"]:
         assert before["lines"] == codec["lines"]
+    assert before["op"]["ops"] == results["op"]["ops"]
     assert codec["compare_s"] > 0
+
+
+def test_op_builds_no_event_dicts(results):
+    op = results["op"]
+    # Rows go from the recorder through the file, the parser and the
+    # verified replay; an event dict anywhere on that path is a
+    # regression to the dict codec (which built one per event on each
+    # of the three traces).
+    assert op["event_dicts"] == 0
+    assert len(op["gc_collections"]) == 3
+    assert op["op_s"] > 0
 
 
 def test_recording_overhead_floor(results):

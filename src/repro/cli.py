@@ -1060,7 +1060,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         report, trace = record_run(simulator, args.horizon)
         write_trace(trace, args.out)
         print(f"recorded {args.machine} x {args.horizon:.0f} h to "
-              f"{args.out} ({len(trace.events)} events, "
+              f"{args.out} ({trace.event_count} events, "
               f"{report.failures_injected} failures)")
         return 0
 
@@ -1069,7 +1069,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         result = replay(trace)  # raises ReplayDivergenceError on drift
         report = report_to_dict(result.report)
         print(f"replayed {args.path} bit-exactly "
-              f"({len(result.trace.events)} events)")
+              f"({result.trace.event_count} events)")
         for line in _trace_report_lines(report):
             print(line)
         if args.to_store is not None:
@@ -1108,16 +1108,16 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     )
     config = trace.config
     counts: dict[str, int] = {}
-    for event in trace.events:
-        counts[event["t"]] = counts.get(event["t"], 0) + 1
+    for row in trace.event_rows():
+        counts[row[0]] = counts.get(row[0], 0) + 1
     print(f"machine:            {config.machine}")
     print(f"horizon:            {trace.horizon_hours:.0f} h")
     print(f"seed:               {config.seed}")
-    if trace.events:
+    if counts:
         breakdown = ", ".join(
             f"{kind}={counts[kind]}" for kind in sorted(counts)
         )
-        print(f"events:             {len(trace.events)} ({breakdown})")
+        print(f"events:             {trace.event_count} ({breakdown})")
     else:
         print("events:             0")
     print(f"workload:           "
@@ -1274,7 +1274,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
         report, trace = record_run(simulator, args.horizon)
         write_trace(trace, args.record)
         print(f"recorded {args.machine} x {args.horizon:.0f} h to "
-              f"{args.record} ({len(trace.events)} events, "
+              f"{args.record} ({trace.event_count} events, "
               f"{report.failures_injected} failures)")
     else:
         report = simulator.run(args.horizon)

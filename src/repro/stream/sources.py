@@ -252,21 +252,20 @@ class TraceSource:
 
     def __iter__(self) -> Iterator[StreamEvent]:
         record_id = 0
-        for event in self._trace.events:
-            kind = event["t"]
+        for row in self._trace.event_rows():
+            kind = row[0]
             if kind == "fail":
+                _, time, node, category, ttr, gpus = row
                 record = FailureRecord(
                     record_id=record_id,
-                    timestamp=self._log_start
-                    + timedelta(hours=event["time"]),
-                    node_id=event["node"],
-                    category=event["cat"],
-                    ttr_hours=event["ttr"],
-                    gpus_involved=tuple(event["gpus"]),
+                    timestamp=self._log_start + timedelta(hours=time),
+                    node_id=node,
+                    category=category,
+                    ttr_hours=ttr,
+                    gpus_involved=tuple(gpus),
                 )
                 record_id += 1
-                yield StreamEvent.failure(event["time"], record)
+                yield StreamEvent.failure(time, record)
             elif kind == "rdone" and self._include_repairs:
-                yield StreamEvent.repair(
-                    event["time"], event["node"], event["cat"]
-                )
+                _, time, node, category = row
+                yield StreamEvent.repair(time, node, category)

@@ -4,7 +4,8 @@ A counterfactual replay answers "what would this recorded month have
 looked like under policy B?"  The answer is a field-by-field diff of
 the two :class:`SimulationReport` outcomes — numeric deltas where the
 fields are numeric, nested under ``scheduler.`` for the workload
-counters — rather than two reports the reader must eyeball.
+counters and ``train.`` for a training run's statistics — rather than
+two reports the reader must eyeball.
 """
 
 from __future__ import annotations
@@ -78,17 +79,16 @@ class ReportDiff:
         return "\n".join(lines)
 
 
-def _flatten(report: dict) -> dict:
+def _flatten(report: dict, prefix: str = "") -> dict:
+    """Nested blocks (``scheduler``, ``train`` and its
+    ``lost_work_by_category``) as dotted fields; an absent block
+    (``None``) stays one field."""
     flat: dict = {}
     for key, value in report.items():
-        if key == "scheduler":
-            if value is None:
-                flat["scheduler"] = None
-            else:
-                for sub_key, sub_value in value.items():
-                    flat[f"scheduler.{sub_key}"] = sub_value
+        if isinstance(value, dict):
+            flat.update(_flatten(value, f"{prefix}{key}."))
         else:
-            flat[key] = value
+            flat[f"{prefix}{key}"] = value
     return flat
 
 
@@ -100,8 +100,9 @@ def diff_reports(
 
     Fields present in only one report appear with ``None`` on the
     other side (e.g. ``scheduler.*`` when only one run had a
-    workload).  Deltas are ``counterfactual - baseline`` and only
-    computed for numeric pairs.
+    workload, or a ``train.lost_work_by_category.*`` category only
+    one run lost work to).  Deltas are ``counterfactual - baseline``
+    and only computed for numeric pairs.
     """
     if isinstance(baseline, SimulationReport):
         baseline = report_to_dict(baseline)

@@ -25,6 +25,10 @@ Every line is canonical JSON — sorted keys, no whitespace, ``NaN``
 and the infinities rejected by the writer and the reader — so byte
 equality of two traces is equivalent to semantic equality, and Python
 float repr round-trips bit-exactly through the codec.
+
+In memory, a recorded or parsed :class:`Trace` keeps its events as the
+recorder's tuples ("rows", laid out as :data:`_ROW_SCHEMA` says) and
+builds event dicts only when :attr:`Trace.events` is read.
 """
 
 from __future__ import annotations
@@ -32,7 +36,9 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import chain
+from operator import itemgetter
 
 from repro.errors import TraceError
 from repro.sim.checkpoint import CheckpointPolicy
@@ -48,6 +54,7 @@ __all__ = [
     "canonical_line",
     "event_line",
     "is_plain_event",
+    "plain_rows",
     "config_to_dict",
     "config_from_dict",
     "report_to_dict",
@@ -65,29 +72,55 @@ EVENT_KINDS = frozenset(
     {"fail", "rstart", "rdone", "jsub", "jstart", "jdone", "jkill"}
 )
 
-#: Event kind -> its keys beyond ``"t"``, sorted, each with the one
-#: type the recorder writes for it.  The plain-event check reads the
-#: types; :data:`_EVENT_KEYS` and the formatters' key counts derive
-#: from the keys.
-_EVENT_SCHEMA: dict[str, tuple[tuple[str, type], ...]] = {
+#: Event kind -> the fields of its row after the kind, in row order,
+#: each with the one type the recorder buffers for it.  A row is the
+#: tuple the recorder appends, ``(kind, time, ...)``.  Every other
+#: per-kind table derives from this one.
+_ROW_SCHEMA: dict[str, tuple[tuple[str, type], ...]] = {
     "fail": (
-        ("cat", str), ("gpus", list), ("node", int), ("time", float),
-        ("ttr", float),
+        ("time", float), ("node", int), ("cat", str), ("ttr", float),
+        ("gpus", list),
     ),
-    "rstart": (("cat", str), ("node", int), ("time", float)),
-    "rdone": (("cat", str), ("node", int), ("time", float)),
+    "rstart": (("time", float), ("node", int), ("cat", str)),
+    "rdone": (("time", float), ("node", int), ("cat", str)),
     "jsub": (
-        ("hours", float), ("job", int), ("time", float), ("width", int),
+        ("time", float), ("job", int), ("width", int), ("hours", float),
     ),
-    "jstart": (("job", int), ("nodes", list), ("time", float)),
-    "jdone": (("job", int), ("time", float)),
-    "jkill": (("job", int), ("node", int), ("time", float)),
+    "jstart": (("time", float), ("job", int), ("nodes", list)),
+    "jdone": (("time", float), ("job", int)),
+    "jkill": (("time", float), ("job", int), ("node", int)),
+}
+
+#: Event kind -> its keys beyond ``"t"``, sorted, each with the one
+#: type a plain event holds for it.
+_EVENT_SCHEMA: dict[str, tuple[tuple[str, type], ...]] = {
+    kind: tuple(sorted(fields)) for kind, fields in _ROW_SCHEMA.items()
 }
 
 #: Required keys per event kind (beyond ``"t"``).
 _EVENT_KEYS: dict[str, frozenset[str]] = {
     kind: frozenset(key for key, _ in schema)
     for kind, schema in _EVENT_SCHEMA.items()
+}
+
+#: Event kind -> every key of its line, ``"t"`` included, in the
+#: sorted order a canonical line writes them.
+_LINE_KEYS: dict[str, tuple[str, ...]] = {
+    kind: tuple(sorted([*keys, "t"])) for kind, keys in _EVENT_KEYS.items()
+}
+
+#: Event kind -> the key of its list value, for the kinds that have one.
+_LIST_KEYS: dict[str, str] = {
+    kind: key
+    for kind, fields in _ROW_SCHEMA.items()
+    for key, value_type in fields
+    if value_type is list
+}
+
+#: Event kind -> the row of an event dict holding the kind's keys.
+_EVENT_ROWS = {
+    kind: itemgetter("t", *(key for key, _ in fields))
+    for kind, fields in _ROW_SCHEMA.items()
 }
 
 #: Plain ints lie strictly inside +-2**63, far below the shortest
@@ -120,88 +153,129 @@ def canonical_line(obj: dict) -> str:
 
 _quote = json.encoder.encode_basestring_ascii
 
+#: Event kind -> the canonical line of a plain row (see
+#: :func:`_rows_are_plain`).  Each template spells out the kind's keys
+#: in sorted order, as ``canonical_line`` would, and prints exact ints
+#: with ``format``, finite floats with ``repr`` and strings with the
+#: encoder's own quoting, which is what ``canonical_line`` writes for
+#: those types.
+_ROW_LINES = {
+    "fail": lambda r: (
+        f'{{"cat":{_quote(r[3])},'
+        f'"gpus":[{",".join(map(int.__repr__, r[5]))}],"node":{r[2]},'
+        f'"t":"fail","time":{r[1]!r},"ttr":{r[4]!r}}}'
+    ),
+    "rstart": lambda r: (
+        f'{{"cat":{_quote(r[3])},"node":{r[2]},"t":"rstart",'
+        f'"time":{r[1]!r}}}'
+    ),
+    "rdone": lambda r: (
+        f'{{"cat":{_quote(r[3])},"node":{r[2]},"t":"rdone",'
+        f'"time":{r[1]!r}}}'
+    ),
+    "jsub": lambda r: (
+        f'{{"hours":{r[4]!r},"job":{r[2]},"t":"jsub","time":{r[1]!r},'
+        f'"width":{r[3]}}}'
+    ),
+    "jstart": lambda r: (
+        f'{{"job":{r[2]},"nodes":[{",".join(map(int.__repr__, r[3]))}],'
+        f'"t":"jstart","time":{r[1]!r}}}'
+    ),
+    "jdone": lambda r: f'{{"job":{r[2]},"t":"jdone","time":{r[1]!r}}}',
+    "jkill": lambda r: (
+        f'{{"job":{r[2]},"node":{r[3]},"t":"jkill","time":{r[1]!r}}}'
+    ),
+}
 
-def _value(value) -> str:
-    """One event value as canonical JSON, for the types events hold.
 
-    Raises:
-        TypeError: For any other type (including ``bool`` and NumPy
-            scalars) or a non-finite float, so the caller falls back
-            to the general encoder.
+def _event_from_row(row) -> dict:
+    """The event dict of one row: its keys in line order, each list a
+    new list."""
+    kind = row[0]
+    fields = _ROW_SCHEMA[kind]
+    if len(row) != len(fields) + 1:
+        raise ValueError(f"a {kind} row has {len(fields) + 1} items")
+    values = {"t": kind}
+    for (key, value_type), value in zip(fields, row[1:]):
+        values[key] = list(value) if value_type is list else value
+    return {key: values[key] for key in _LINE_KEYS[kind]}
+
+
+def _events_from_rows(rows) -> list[dict]:
+    try:
+        return list(map(_event_from_row, rows))
+    except (KeyError, TypeError, IndexError, ValueError) as exc:
+        raise TraceError(f"trace event rows are malformed: {exc!r}") from exc
+
+
+def _rows_from_events(events) -> list[tuple]:
+    try:
+        return [_EVENT_ROWS[event["t"]](event) for event in events]
+    except (KeyError, TypeError) as exc:
+        raise TraceError(
+            f"trace events do not all hold their kind's keys: {exc!r}"
+        ) from exc
+
+
+def _rows_are_plain(rows) -> bool:
+    """Whether every row is a row exactly as the recorder buffers it.
+
+    Plain means: an exact ``tuple`` of a known kind and its length,
+    every value of the one type :data:`_ROW_SCHEMA` names for its
+    column (no subclasses, so no ``bool`` and no NumPy scalars), every
+    float finite and nonzero, and every int, alone or in a list,
+    inside +-2**63.  The rows are grouped by kind once, and each
+    column is then checked whole.
     """
-    kind = type(value)
-    if kind is int:
-        return int.__repr__(value)
-    if kind is float:
-        if value - value == 0.0:  # finite: inf - inf and NaN are NaN
-            return float.__repr__(value)
-    elif kind is str:
-        return _quote(value)
-    elif kind is list:
-        for item in value:
-            if type(item) is not int:
-                break
-        else:
-            return f"[{','.join(map(int.__repr__, value))}]"
-    raise TypeError(f"no fast form for {kind.__name__}")
-
-
-#: Event kind -> formatter.  Each template spells out the kind's keys
-#: in sorted order, as ``canonical_line`` would.
-_EVENT_TEMPLATES = {
-    "fail": lambda e: (
-        f'{{"cat":{_value(e["cat"])},"gpus":{_value(e["gpus"])},'
-        f'"node":{_value(e["node"])},"t":"fail",'
-        f'"time":{_value(e["time"])},"ttr":{_value(e["ttr"])}}}'
-    ),
-    "rstart": lambda e: (
-        f'{{"cat":{_value(e["cat"])},"node":{_value(e["node"])},'
-        f'"t":"rstart","time":{_value(e["time"])}}}'
-    ),
-    "rdone": lambda e: (
-        f'{{"cat":{_value(e["cat"])},"node":{_value(e["node"])},'
-        f'"t":"rdone","time":{_value(e["time"])}}}'
-    ),
-    "jsub": lambda e: (
-        f'{{"hours":{_value(e["hours"])},"job":{_value(e["job"])},'
-        f'"t":"jsub","time":{_value(e["time"])},'
-        f'"width":{_value(e["width"])}}}'
-    ),
-    "jstart": lambda e: (
-        f'{{"job":{_value(e["job"])},"nodes":{_value(e["nodes"])},'
-        f'"t":"jstart","time":{_value(e["time"])}}}'
-    ),
-    "jdone": lambda e: (
-        f'{{"job":{_value(e["job"])},"t":"jdone",'
-        f'"time":{_value(e["time"])}}}'
-    ),
-    "jkill": lambda e: (
-        f'{{"job":{_value(e["job"])},"node":{_value(e["node"])},'
-        f'"t":"jkill","time":{_value(e["time"])}}}'
-    ),
-}
-
-#: Event kind -> (key count including ``"t"``, formatter).
-_EVENT_FORMATS = {
-    kind: (len(_EVENT_KEYS[kind]) + 1, template)
-    for kind, template in _EVENT_TEMPLATES.items()
-}
+    groups: dict[str, list] = {kind: [] for kind in _ROW_SCHEMA}
+    try:
+        for row in rows:
+            groups[row[0]].append(row)
+    except (KeyError, TypeError, IndexError):
+        return False
+    for kind, group in groups.items():
+        if not group:
+            continue
+        fields = _ROW_SCHEMA[kind]
+        if set(map(type, group)) != {tuple} or set(map(len, group)) != {
+            len(fields) + 1
+        }:
+            return False
+        columns = zip(*group)
+        if set(map(type, next(columns))) != {str}:
+            return False
+        for (_, expected), column in zip(fields, columns):
+            if set(map(type, column)) != {expected}:
+                return False
+            if expected is float:
+                # Finite and nonzero: a NaN or an infinity makes the
+                # sum non-finite, and -0.0 == 0.0 while the two print
+                # differently.  A finite sum that overflows only sends
+                # the rows down the general path.
+                if not math.isfinite(sum(column)) or 0.0 in column:
+                    return False
+            elif expected is not str:
+                if expected is list:
+                    column = list(chain.from_iterable(column))
+                    if set(map(type, column)) - {int}:
+                        return False
+                if column and not (
+                    -_INT_BOUND < min(column) and max(column) < _INT_BOUND
+                ):
+                    return False
+    return True
 
 
 def event_line(event: dict) -> str:
-    """:func:`canonical_line` of one event, formatted per kind.
+    """:func:`canonical_line` of one event.
 
-    An event with exactly its kind's keys, holding only ints, finite
-    floats, strings and lists of ints, goes through a fixed template;
-    anything else goes to :func:`canonical_line`, so the output (and
-    any :class:`TraceError`) is always the same as that function's.
+    A plain event (:func:`is_plain_event`) is formatted by its kind's
+    row template; anything else goes to :func:`canonical_line`, so the
+    output (and any :class:`TraceError`) is always that function's.
     """
-    try:
-        size, fmt = _EVENT_FORMATS[event["t"]]
-        if type(event) is dict and len(event) == size:
-            return fmt(event)
-    except (KeyError, TypeError, ValueError):
-        pass
+    if is_plain_event(event):
+        kind = event["t"]
+        return _ROW_LINES[kind](_EVENT_ROWS[kind](event))
     return canonical_line(event)
 
 
@@ -212,9 +286,9 @@ def is_plain_event(event) -> bool:
     kind's keys, each value of the one type the schema names for it
     (no subclasses, so no ``bool`` and no NumPy scalars), every float
     finite and nonzero, every int inside +-2**63, and every list made
-    of such ints only.  :func:`event_line` formats a plain event with
-    its kind's template, from these values alone, and never falls
-    back to :func:`canonical_line`.
+    of such ints only.  Its row is then plain too
+    (:func:`_rows_are_plain`), and :func:`event_line` formats it with
+    its kind's template, from these values alone.
     """
     if type(event) is not dict:
         return False
@@ -241,6 +315,27 @@ def is_plain_event(event) -> bool:
                 ):
                     return False
     return True
+
+
+def plain_rows(trace: Trace) -> list[tuple] | None:
+    """The trace's events as rows when every one is plain, else None.
+
+    A trace holding rows checks them column by column
+    (:func:`_rows_are_plain`) and returns its own list, which the
+    caller must not change; a trace holding dicts checks each
+    (:func:`is_plain_event`) and builds the rows.  Two plain row lists
+    that are equal print alike: equal values of one exact type print
+    alike (equal doubles are one double except ``0.0 == -0.0``, and
+    zero is not plain), so equal rows, which share a kind, share a
+    line.
+    """
+    rows = trace._rows
+    if rows is not None:
+        return rows if _rows_are_plain(rows) else None
+    events = trace._events
+    if all(map(is_plain_event, events)):
+        return _rows_from_events(events)
+    return None
 
 
 def config_to_dict(config: SimulationConfig) -> dict:
@@ -453,21 +548,79 @@ class QuarantinedLine:
     reason: str
 
 
-@dataclass
 class Trace:
-    """A parsed (or freshly recorded) execution trace."""
+    """A parsed (or freshly recorded) execution trace.
 
-    config: SimulationConfig
-    horizon_hours: float
-    events: list[dict] = field(default_factory=list)
-    report: dict | None = None
-    end: dict | None = None
+    The events are held in one of two forms.  A recorded or parsed
+    trace holds *rows*: tuples ``(kind, time, ...)`` laid out as
+    :data:`_ROW_SCHEMA` says, as the recorder buffers them (pass
+    ``rows=``; the trace keeps the list).  :attr:`events` builds the
+    public ``list[dict]`` form on first access, and from then on those
+    dicts are the trace's events, so callers may edit them.  Every
+    line, comparison and error is the same in either form.
+    """
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        config: SimulationConfig,
+        horizon_hours: float,
+        events: list[dict] | None = None,
+        report: dict | None = None,
+        end: dict | None = None,
+        *,
+        rows: list[tuple] | None = None,
+    ) -> None:
+        if events is not None and rows is not None:
+            raise TraceError("a trace holds events or rows, not both")
+        self.config = config
         # Canonical form is float: an int horizon would serialize as
         # "600" but parse back as 600.0 and re-emit as "600.0",
         # breaking byte-identical codec round-trips.
-        self.horizon_hours = float(self.horizon_hours)
+        self.horizon_hours = float(horizon_hours)
+        self._rows = rows
+        self._events = (
+            None if rows is not None else [] if events is None else events
+        )
+        self.report = report
+        self.end = end
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Trace):
+            return NotImplemented
+        return (
+            self.config == other.config
+            and self.horizon_hours == other.horizon_hours
+            and self._event_dicts() == other._event_dicts()
+            and self.report == other.report
+            and self.end == other.end
+        )
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return (
+            f"Trace(machine={self.config.machine!r}, "
+            f"horizon_hours={self.horizon_hours!r}, "
+            f"events={self.event_count})"
+        )
+
+    @property
+    def events(self) -> list[dict]:
+        """The events as dicts, in order (built on first access)."""
+        if self._rows is not None:
+            self._events = _events_from_rows(self._rows)
+            self._rows = None
+        return self._events
+
+    @events.setter
+    def events(self, events: list[dict]) -> None:
+        self._events = events
+        self._rows = None
+
+    @property
+    def event_count(self) -> int:
+        """The number of events, without building any dict."""
+        return len(self._rows if self._rows is not None else self._events)
 
     @property
     def failures(self) -> list[dict]:
@@ -478,6 +631,24 @@ class Trace:
     def jobs(self) -> list[dict]:
         """The ``jsub`` events, in submission order."""
         return [e for e in self.events if e["t"] == "jsub"]
+
+    def _event_dicts(self) -> list[dict]:
+        """The events as dicts, leaving a trace that holds rows as it
+        is."""
+        if self._rows is not None:
+            return _events_from_rows(self._rows)
+        return self._events
+
+    def event_rows(self) -> list[tuple]:
+        """The events as rows, in order, in a new list.
+
+        Raises:
+            TraceError: If the trace holds dicts and one of them lacks
+                a key of its kind.
+        """
+        if self._rows is not None:
+            return list(self._rows)
+        return _rows_from_events(self._events)
 
     def header_dict(self) -> dict:
         """The header line as a dict (including ``"t"``)."""
@@ -491,7 +662,7 @@ class Trace:
     def lines(self) -> list[str]:
         """Every line of the trace in canonical form, in order."""
         out = [canonical_line(self.header_dict())]
-        out.extend(map(event_line, self.events))
+        out.extend(self.event_lines())
         if self.report is not None:
             out.append(canonical_line({"t": "report", **self.report}))
         if self.end is not None:
@@ -499,8 +670,15 @@ class Trace:
         return out
 
     def event_lines(self) -> list[str]:
-        """Canonical lines of the events only (the bit-exact body)."""
-        return list(map(event_line, self.events))
+        """Canonical lines of the events only (the bit-exact body).
+
+        Plain rows go through their kinds' templates; any other trace
+        formats its event dicts with :func:`event_line`.
+        """
+        rows = self._rows
+        if rows is not None and _rows_are_plain(rows):
+            return [_ROW_LINES[row[0]](row) for row in rows]
+        return list(map(event_line, self._event_dicts()))
 
     def dumps(self) -> str:
         """The whole trace as JSONL text (trailing newline included)."""
@@ -586,7 +764,12 @@ def parse_trace(
             f"on_error must be 'raise' or 'quarantine', got {on_error!r}"
         )
     header: dict | None = None
-    events: list[dict] = []
+    # Event lines become rows while every one of them has exactly its
+    # kind's keys, in line order, and a list where its kind has one;
+    # the first that does not turns the rows so far into dicts, which
+    # hold the rest.
+    rows: list[tuple] | None = []
+    events: list[dict] | None = None
     report: dict | None = None
     end: dict | None = None
     quarantined: list[QuarantinedLine] = []
@@ -650,15 +833,20 @@ def parse_trace(
                 )
             header = obj
             continue
-        if kind == "header":
-            bad(number, raw, "duplicate header")
-        elif kind == "report":
-            report = {k: v for k, v in obj.items() if k != "t"}
-        elif kind == "end":
-            end = {k: v for k, v in obj.items() if k != "t"}
-        elif isinstance(kind, str) and kind in EVENT_KINDS:
+        if isinstance(kind, str) and kind in EVENT_KINDS:
+            list_key = _LIST_KEYS.get(kind)
+            if (
+                rows is not None
+                and tuple(obj) == _LINE_KEYS[kind]
+                and (list_key is None or type(obj[list_key]) is list)
+            ):
+                rows.append(_EVENT_ROWS[kind](obj))
+                continue
             required = _EVENT_KEYS[kind]
             if obj.keys() >= required:
+                if rows is not None:
+                    events = _events_from_rows(rows)
+                    rows = None
                 events.append(obj)
             else:
                 bad(
@@ -667,6 +855,12 @@ def parse_trace(
                     f"{kind} event missing keys "
                     f"{sorted(required - obj.keys())}",
                 )
+        elif kind == "header":
+            bad(number, raw, "duplicate header")
+        elif kind == "report":
+            report = {k: v for k, v in obj.items() if k != "t"}
+        elif kind == "end":
+            end = {k: v for k, v in obj.items() if k != "t"}
         else:
             bad(number, raw, f"unknown event type {kind!r}")
 
@@ -678,6 +872,7 @@ def parse_trace(
         events=events,
         report=report,
         end=end,
+        rows=rows,
     )
     return trace, quarantined
 

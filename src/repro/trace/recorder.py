@@ -3,8 +3,11 @@
 The recorder rides the engine's pub/sub bus, so attaching it needs no
 changes to the components being observed.  To keep recording off the
 simulation's critical path (the benchmark floor is ≤10% overhead on
-the events/s hot path), callbacks append compact tuples to an
-in-memory list and all JSON work is deferred to :meth:`finalize`.
+the events/s hot path), callbacks append compact tuples ("rows") to an
+in-memory list.  :meth:`TraceRecorder.finalize` hands those rows to the
+:class:`Trace` as they are: lines are formatted only when the trace is
+written or compared, and event dicts only when a caller asks for
+:attr:`Trace.events`.
 """
 
 from __future__ import annotations
@@ -33,12 +36,12 @@ class TraceRecorder:
         self, engine: SimulationEngine, config: SimulationConfig
     ) -> None:
         self._config = config
-        self._events: list[tuple] = []
+        self._rows: list[tuple] = []
         self._finalized = False
         self._started = _time.perf_counter()
-        append = self._events.append
-        # One tiny closure per topic; each buffers a compact tuple and
-        # defers every serialization decision to finalize().
+        append = self._rows.append
+        # One tiny closure per topic; each buffers one row in the
+        # layout of repro.trace.format._ROW_SCHEMA.
         engine.subscribe(
             "failure",
             lambda record, time_hours: append(
@@ -48,7 +51,7 @@ class TraceRecorder:
                     record.node_id,
                     record.category,
                     record.ttr_hours,
-                    record.gpus_involved,
+                    list(record.gpus_involved),
                 )
             ),
         )
@@ -97,7 +100,7 @@ class TraceRecorder:
     @property
     def event_count(self) -> int:
         """Events buffered so far."""
-        return len(self._events)
+        return len(self._rows)
 
     def finalize(
         self,
@@ -117,67 +120,16 @@ class TraceRecorder:
                 "TraceRecorder per run"
             )
         self._finalized = True
-        events: list[dict] = []
-        out = events.append
-        for entry in self._events:
-            kind = entry[0]
-            if kind == "fail":
-                out(
-                    {
-                        "t": "fail",
-                        "time": entry[1],
-                        "node": entry[2],
-                        "cat": entry[3],
-                        "ttr": entry[4],
-                        "gpus": list(entry[5]),
-                    }
-                )
-            elif kind == "rstart" or kind == "rdone":
-                out(
-                    {
-                        "t": kind,
-                        "time": entry[1],
-                        "node": entry[2],
-                        "cat": entry[3],
-                    }
-                )
-            elif kind == "jsub":
-                out(
-                    {
-                        "t": "jsub",
-                        "time": entry[1],
-                        "job": entry[2],
-                        "width": entry[3],
-                        "hours": entry[4],
-                    }
-                )
-            elif kind == "jstart":
-                out(
-                    {
-                        "t": "jstart",
-                        "time": entry[1],
-                        "job": entry[2],
-                        "nodes": list(entry[3]),
-                    }
-                )
-            elif kind == "jdone":
-                out({"t": "jdone", "time": entry[1], "job": entry[2]})
-            else:  # jkill
-                out(
-                    {
-                        "t": "jkill",
-                        "time": entry[1],
-                        "job": entry[2],
-                        "node": entry[3],
-                    }
-                )
+        # A copy, so the trace stays as it is if the engine runs on:
+        # the bus callbacks append to the buffer.
+        rows = list(self._rows)
         wall = _time.perf_counter() - self._started
         return Trace(
             config=self._config,
             horizon_hours=horizon_hours,
-            events=events,
+            rows=rows,
             report=report_to_dict(report),
-            end={"events": len(events), "wall_s": wall},
+            end={"events": len(rows), "wall_s": wall},
         )
 
 

@@ -34,7 +34,7 @@ from repro.sim.simulator import (
     SimulationReport,
     run_wired,
 )
-from repro.trace.format import Trace, canonical_line, is_plain_event
+from repro.trace.format import Trace, canonical_line, plain_rows
 from repro.trace.recorder import TraceRecorder
 
 __all__ = [
@@ -62,7 +62,8 @@ class ReplayInjector:
     ``was_healthy`` is re-evaluated against the *replayed* cluster
     state rather than recorded, which is what lets a counterfactual
     replay absorb a failure on a node a slower repair policy has not
-    yet returned to service.
+    yet returned to service.  ``failures`` holds the trace's ``fail``
+    rows, ``("fail", time, node, cat, ttr, gpus)``, in firing order.
     """
 
     def __init__(
@@ -71,7 +72,7 @@ class ReplayInjector:
         cluster: Cluster,
         repair: RepairService,
         machine: str,
-        failures: list[dict],
+        failures: list[tuple],
     ) -> None:
         self._engine = engine
         self._cluster = cluster
@@ -113,24 +114,17 @@ class ReplayInjector:
     # -- internals -----------------------------------------------------------
 
     def _schedule_next(self) -> None:
-        if self._index >= len(self._failures):
-            return
-        event = self._failures[self._index]
-        try:
-            when = event["time"]
-        except (TypeError, KeyError) as exc:
-            raise TraceError(
-                f"fail event {self._index} has no time"
-            ) from exc
-        self._engine.schedule_at(when, self._fire)
+        if self._index < len(self._failures):
+            self._engine.schedule_at(
+                self._failures[self._index][1], self._fire
+            )
 
     def _fire(self) -> None:
-        event = self._failures[self._index]
+        _, _, node_id, category, duration, gpus = (
+            self._failures[self._index]
+        )
         self._index += 1
-        node_id = event["node"]
-        category = event["cat"]
-        duration = event["ttr"]
-        gpus = tuple(event["gpus"])
+        gpus = tuple(gpus)
         if self._cluster.fail(node_id, category, self._engine.now, gpus):
             self._repair.submit(node_id, category, duration)
         self._record(node_id, category, duration, gpus)
@@ -205,6 +199,7 @@ class ReplaySimulator:
         self._trace = trace
         self._spec = get_machine(base.machine)
         self._ran = False
+        rows = trace.event_rows()
 
         self.engine = SimulationEngine()
         self.cluster = Cluster(self._spec)
@@ -217,7 +212,7 @@ class ReplaySimulator:
             self.cluster,
             self.repair,
             base.machine,
-            trace.failures,
+            [row for row in rows if row[0] == "fail"],
         )
         self.training = None
         if base.train is not None:
@@ -232,11 +227,11 @@ class ReplaySimulator:
                 self.engine, self.cluster, base.train, checkpoint_policy
             )
         self.scheduler: Scheduler | None = None
-        job_events = trace.jobs
+        job_rows = [row for row in rows if row[0] == "jsub"]
         # A training trace carries the gang's own job events; they are
         # re-emitted by the replayed gang, not a batch scheduler.
         if base.train is None and (
-            base.workload is not None or job_events
+            base.workload is not None or job_rows
         ):
             self.scheduler = Scheduler(
                 self.engine,
@@ -250,12 +245,12 @@ class ReplaySimulator:
             )
             self._jobs = [
                 Job(
-                    job_id=event["job"],
-                    num_nodes=event["width"],
-                    duration_hours=event["hours"],
-                    submit_time=event["time"],
+                    job_id=job,
+                    num_nodes=width,
+                    duration_hours=hours,
+                    submit_time=time,
                 )
-                for event in job_events
+                for _, time, job, width, hours in job_rows
             ]
         else:
             self._jobs = []
@@ -347,18 +342,21 @@ def compare_traces(
     outside the comparison.
 
     Values are compared before any event line is formatted.  When
-    every event of both traces is plain (:func:`is_plain_event`) and
-    the two event lists are equal, their lines are equal too, so none
-    is formatted.  :func:`event_line` writes a plain event with its
-    kind's template from its values alone, and equal values of one
-    exact type print alike: equal ints by ``int.__repr__`` (inside
-    +-2**63, so always printable), equal strs by the same quoting,
-    equal int lists item by item, and equal finite floats by
+    the events of both traces are plain rows (:func:`plain_rows`: each
+    column of one exact type, floats finite and nonzero, ints inside
+    +-2**63) and the two row lists are equal, their lines are equal
+    too, so none is formatted.  A plain row is printed by its kind's
+    template from its values alone, and equal values of one exact
+    type print alike: equal ints by ``int.__repr__`` (inside +-2**63,
+    so always printable), equal strs by the same quoting, equal int
+    lists item by item, and equal finite floats by
     ``float.__repr__``, because equal doubles are one double except
     ``0.0 == -0.0``, and zero is not plain.  Lists of equal length
-    compare pair by pair, and equal dicts have equal values key by
-    key, so each pair shares a kind and its values.  Plainness is
-    tested first, so ``==`` only ever meets those types.
+    compare pair by pair, and equal rows have equal values position
+    by position, so each pair shares a kind and its values.
+    Plainness is tested first, so ``==`` only ever meets those types.
+    Traces that hold rows are read as rows; neither trace builds its
+    event dicts.
 
     Anything else (``1`` against ``1.0``, ``True`` against ``1``, a
     NumPy scalar, a NaN object on both sides, an extra key, a zero
@@ -366,11 +364,9 @@ def compare_traces(
     compares the lines, so the divergence returned and any
     :class:`TraceError` raised are the ones the lines give.
     """
-    if not (
-        all(map(is_plain_event, recorded.events))
-        and all(map(is_plain_event, replayed.events))
-        and recorded.events == replayed.events
-    ):
+    left = plain_rows(recorded)
+    right = plain_rows(replayed) if left is not None else None
+    if left is None or right is None or left != right:
         divergence = _event_line_divergence(recorded, replayed)
         if divergence is not None:
             return divergence

@@ -70,7 +70,7 @@ def regenerate() -> None:
         _, trace = record_run(sim, scenario["horizon"])
         path = GOLDEN_DIR / f"{name}.jsonl"
         write_trace(trace, path)
-        print(f"{path}: {len(trace.events)} events")
+        print(f"{path}: {trace.event_count} events")
 
 
 if __name__ == "__main__":

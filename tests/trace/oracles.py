@@ -72,6 +72,67 @@ def compare_traces_by_lines(
     return None
 
 
+def events_from_rows(rows: list[tuple]) -> list[dict]:
+    """The event dicts of recorder rows, built one by one as
+    :meth:`repro.trace.TraceRecorder.finalize` built them before the
+    trace kept its rows."""
+    events: list[dict] = []
+    out = events.append
+    for entry in rows:
+        kind = entry[0]
+        if kind == "fail":
+            out(
+                {
+                    "t": "fail",
+                    "time": entry[1],
+                    "node": entry[2],
+                    "cat": entry[3],
+                    "ttr": entry[4],
+                    "gpus": list(entry[5]),
+                }
+            )
+        elif kind == "rstart" or kind == "rdone":
+            out(
+                {
+                    "t": kind,
+                    "time": entry[1],
+                    "node": entry[2],
+                    "cat": entry[3],
+                }
+            )
+        elif kind == "jsub":
+            out(
+                {
+                    "t": "jsub",
+                    "time": entry[1],
+                    "job": entry[2],
+                    "width": entry[3],
+                    "hours": entry[4],
+                }
+            )
+        elif kind == "jstart":
+            out(
+                {
+                    "t": "jstart",
+                    "time": entry[1],
+                    "job": entry[2],
+                    "nodes": list(entry[3]),
+                }
+            )
+        elif kind == "jdone":
+            out({"t": "jdone", "time": entry[1], "job": entry[2]})
+        else:  # jkill
+            out(
+                {
+                    "t": "jkill",
+                    "time": entry[1],
+                    "job": entry[2],
+                    "node": entry[3],
+                }
+            )
+    return events
+
+
 def _finite_float(text: str) -> float:
     value = float(text)
     if not math.isfinite(value):

@@ -1,10 +1,12 @@
 """The trace codec's fast paths against the formulations they replace.
 
 ``compare_traces`` compares event values before it formats any line,
-and ``parse_trace`` decodes each line with the C scanner.  Both must
-give what the oracles in ``tests/trace/oracles.py`` give: the same
-divergence or :class:`TraceError`, and the same trace, quarantine
-list and error.  The one documented difference is reading: ``NaN``,
+``parse_trace`` decodes each line with the C scanner, and a recorded or
+parsed trace keeps the recorder's rows until a caller asks for its
+event dicts.  All must give what the oracles in
+``tests/trace/oracles.py`` give: the same lines, the same divergence
+or :class:`TraceError`, and the same trace, quarantine list and
+error.  The one documented difference is reading: ``NaN``,
 ``Infinity`` and ``-Infinity`` and a bool or non-finite horizon are
 rejected (``tests/trace/test_format.py::TestNonFiniteRejectedOnRead``).
 Both read a number literal that overflows to an infinity as malformed
@@ -24,14 +26,24 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from repro.cli import main
 from repro.errors import TraceError
 from repro.sim import RepairPolicy, SimulationConfig
-from repro.trace import Trace, canonical_line, compare_traces, parse_trace
+from repro.stream import TraceSource
+from repro.trace import (
+    Trace,
+    canonical_line,
+    compare_traces,
+    parse_trace,
+    replay,
+    write_trace,
+)
 from repro.trace.format import event_line, is_plain_event
 
 from tests.trace.conftest import copy_trace
 from tests.trace.oracles import (
     compare_traces_by_lines,
+    events_from_rows,
     parse_trace_json_loads,
 )
 from tests.trace.test_properties import (
@@ -310,6 +322,278 @@ class TestCompareTracesMatchesOracle:
         slow.assert_not_called()
 
 
+#: Event kind -> the keys of its recorder row after the kind, in row
+#: order.
+_ROW_KEYS = {
+    "fail": ("time", "node", "cat", "ttr", "gpus"),
+    "rstart": ("time", "node", "cat"),
+    "rdone": ("time", "node", "cat"),
+    "jsub": ("time", "job", "width", "hours"),
+    "jstart": ("time", "job", "nodes"),
+    "jdone": ("time", "job"),
+    "jkill": ("time", "job", "node"),
+}
+
+
+def _row_of(event: dict) -> tuple:
+    """The row the recorder buffers for ``event``."""
+    kind = event["t"]
+    return (kind, *(event[key] for key in _ROW_KEYS[kind]))
+
+
+def _put(row: tuple, position: int, value) -> tuple:
+    return row[:position] + (value,) + row[position + 1:]
+
+
+_ROW_VALUE_CHANGES = {
+    name: _VALUE_CHANGES[name]
+    for name in (
+        "int_float", "zero", "negative_zero", "bool", "numpy", "inf",
+        "negative_inf", "nan", "int_bound", "huge_int",
+    )
+}
+_ROW_VALUE_CHANGES["negative_int_bound"] = lambda value: -(2**63)
+#: Changes to a GPU or node list: the other container type, or one
+#: item that is not a plain int.
+_ROW_LIST_CHANGES = {
+    "list": list,
+    "tuple": tuple,
+    "bool_list": lambda value: [True, 1],
+    "numpy_item": lambda value: (np.int64(1), *value),
+    "float_item": lambda value: (*value, 1.0),
+    "int_bound_item": lambda value: (*value, 2**63),
+    "negative_int_bound_item": lambda value: [-(2**63), *value],
+}
+
+
+def _change_row(draw, row: tuple) -> tuple:
+    position = draw(st.integers(1, len(row) - 1))
+    value = row[position]
+    changes = (
+        _ROW_LIST_CHANGES
+        if isinstance(value, (list, tuple))
+        else _ROW_VALUE_CHANGES
+    )
+    change = changes[draw(st.sampled_from(sorted(changes)))]
+    return _put(row, position, change(value))
+
+
+@st.composite
+def _row_pairs(draw):
+    """A recorded row and its replayed twin, as :func:`_event_pairs`
+    pairs events."""
+    row = _row_of(draw(_recorded))
+    left = right = row
+    how = draw(
+        st.sampled_from(
+            ["same", "same", "left", "right", "both", "each", "twins"]
+        )
+    )
+    if how == "twins":
+        position = draw(st.integers(1, len(row) - 1))
+        value = row[position]
+        a, b = draw(st.sampled_from(_twins(value)))
+        left, right = _put(row, position, a), _put(row, position, b)
+    elif how == "left":
+        left = _change_row(draw, row)
+    elif how == "right":
+        right = _change_row(draw, row)
+    elif how == "both":
+        left = right = _change_row(draw, row)
+    elif how == "each":
+        left, right = _change_row(draw, row), _change_row(draw, row)
+    return left, right
+
+
+@st.composite
+def _row_trace_pairs(draw):
+    pairs = draw(st.lists(_row_pairs(), max_size=8))
+    recorded = [left for left, _ in pairs]
+    replayed = [right for _, right in pairs]
+    cut = draw(st.sampled_from(["none", "none", "recorded", "replayed"]))
+    if cut == "recorded" and recorded:
+        recorded.pop(draw(st.integers(0, len(recorded) - 1)))
+    elif cut == "replayed" and replayed:
+        replayed.pop(draw(st.integers(0, len(replayed) - 1)))
+    return recorded, replayed, draw(st.sampled_from(_REPORTS))
+
+
+def _lines_outcome(trace: Trace):
+    try:
+        return trace.lines(), trace.event_lines()
+    except TraceError as exc:
+        return ("TraceError", str(exc))
+
+
+def _holds_rows(trace: Trace) -> bool:
+    """Whether the trace still holds rows and no event dict."""
+    return trace._rows is not None and trace._events is None
+
+
+def _assert_rows_match_dicts(recorded, replayed, reports, extra=None):
+    """Rows-backed and dict-backed traces of the same events give the
+    same lines and, in every pairing, the oracle's comparison; neither
+    builds the rows-backed traces' dicts."""
+    left_report, right_report = reports
+    rows = (
+        Trace(CONFIG, 10.0, rows=list(recorded), report=left_report),
+        Trace(CONFIG, 10.0, rows=list(replayed), report=right_report),
+    )
+    dicts = (
+        Trace(CONFIG, 10.0, events_from_rows(recorded), report=left_report),
+        Trace(
+            CONFIG, 10.0, events_from_rows(replayed), report=right_report
+        ),
+    )
+    for row_trace, dict_trace in zip(rows, dicts):
+        assert _lines_outcome(row_trace) == _lines_outcome(dict_trace)
+    expected = _compare_outcome(compare_traces_by_lines, *dicts)
+    for pair in (rows, (rows[0], dicts[1]), (dicts[0], rows[1]), dicts):
+        assert _compare_outcome(compare_traces, *pair) == expected
+    if extra is not None and replayed:
+        events = events_from_rows(replayed)
+        events[-1] = {**events[-1], extra: 1}
+        extended = Trace(CONFIG, 10.0, events, report=right_report)
+        assert _compare_outcome(compare_traces, rows[0], extended) == (
+            _compare_outcome(compare_traces_by_lines, dicts[0], extended)
+        )
+    assert all(map(_holds_rows, rows))
+
+
+_ROW = ("fail", 1.5, 3, "GPU", 2.5, [0, 1])
+
+
+class TestRowsMatchDicts:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        case=_row_trace_pairs(),
+        extra=st.sampled_from([None, "x", "node", "t2"]),
+    )
+    def test_same_lines_divergence_and_error(self, case, extra):
+        _assert_rows_match_dicts(*case, extra=extra)
+
+    @pytest.mark.parametrize(
+        "position, left, right",
+        [
+            (2, 1, True),
+            (2, 3, np.int64(3)),
+            (1, 1.5, np.float64(1.5)),
+            (1, 0.0, -0.0),
+            (1, -0.0, -0.0),
+            (1, 1.0, 1),
+            (5, [0, 1], (0, 1)),
+            (5, (0, 1), (0, 1)),
+            (5, [0, 1], [0, True]),
+            (1, _NAN, _NAN),
+            (1, math.inf, math.inf),
+            (2, 2**63, 2**63),
+            (2, -(2**63), -(2**63)),
+            (5, [2**63], [2**63]),
+            (5, [-(2**63)], [-(2**63)]),
+            (2, 10**4400, 10**4400),
+        ],
+        ids=[
+            "bool", "numpy-int", "numpy-float", "zero-negative-zero",
+            "negative-zero", "float-int", "list-tuple", "tuple-tuple",
+            "bool-item", "nan", "inf", "2**63", "-2**63", "2**63-item",
+            "-2**63-item", "10**4400",
+        ],
+    )
+    def test_values_that_may_print_apart(self, position, left, right):
+        other = ("jdone", 4.5, 7)
+        recorded = [other, _put(_ROW, position, left)]
+        replayed = [other, _put(_ROW, position, right)]
+        for extra in (None, "x"):
+            _assert_rows_match_dicts(
+                recorded, replayed, (None, None), extra=extra
+            )
+
+    def test_extra_key_against_rows(self):
+        _assert_rows_match_dicts([_ROW], [_ROW], (None, None), extra="x")
+
+    def test_recorded_rows_are_plain_and_compared_as_rows(
+        self, workload_trace
+    ):
+        recorded, _ = parse_trace(workload_trace.dumps())
+        replayed, _ = parse_trace(workload_trace.dumps())
+        with mock.patch.object(
+            replay_module, "_event_line_divergence"
+        ) as slow:
+            assert compare_traces(recorded, replayed) is None
+        slow.assert_not_called()
+        assert _holds_rows(recorded) and _holds_rows(replayed)
+
+
+class TestEventDictsOnDemand:
+    def test_edited_events_show_in_lines_and_compare(self, workload_trace):
+        text = workload_trace.dumps()
+        parsed, _ = parse_trace(text)
+        untouched, _ = parse_trace(text)
+        assert _holds_rows(parsed)
+        assert compare_traces(parsed, untouched) is None
+        parsed.events[3]["time"] += 0.5
+        assert not _holds_rows(parsed)
+        lines = parsed.lines()
+        assert lines[4] == canonical_line(parsed.events[3])
+        assert lines[4] != text.splitlines()[4]
+        assert lines[:4] == text.splitlines()[:4]
+        divergence = compare_traces(parsed, untouched)
+        assert divergence.kind == "event"
+        assert divergence.index == 3
+        assert divergence.expected == lines[4]
+        assert divergence.actual == text.splitlines()[4]
+
+    def test_appended_event_shows_in_lines_and_compare(self, workload_trace):
+        parsed, _ = parse_trace(workload_trace.dumps())
+        untouched, _ = parse_trace(workload_trace.dumps())
+        parsed.events.append({"t": "jdone", "time": 1e9, "job": 1})
+        assert parsed.event_count == untouched.event_count + 1
+        assert parsed.event_lines()[-1] == (
+            '{"job":1,"t":"jdone","time":1000000000.0}'
+        )
+        assert compare_traces(parsed, untouched).kind == "event_count"
+
+    def test_equality_does_not_depend_on_the_form(self, workload_trace):
+        rows, _ = parse_trace(workload_trace.dumps())
+        dicts, _ = parse_trace(workload_trace.dumps())
+        dicts.events  # noqa: B018 - builds the dicts
+        assert rows == dicts and dicts == rows
+        assert _holds_rows(rows)
+        dicts.events[0]["time"] += 1.0
+        assert rows != dicts
+
+    def test_materialised_dicts_list_their_keys_as_the_line_does(
+        self, workload_trace
+    ):
+        parsed, _ = parse_trace(workload_trace.dumps())
+        lines = parsed.event_lines()
+        for event, line in zip(parsed.events, lines):
+            assert list(event) == list(json.loads(line))
+            assert canonical_line(event) == line
+
+    def test_readers_leave_a_parsed_trace_unmaterialised(
+        self, tmp_path, workload_trace, capsys
+    ):
+        path = tmp_path / "run.trace.jsonl"
+        write_trace(workload_trace, path)
+        with mock.patch.object(
+            Trace,
+            "events",
+            new_callable=mock.PropertyMock,
+            side_effect=AssertionError("event dicts built"),
+        ):
+            source = TraceSource(path, include_repairs=True)
+            streamed = list(source)
+            assert main(["trace", "info", str(path)]) == 0
+            result = replay(source.trace)
+            assert compare_traces(source.trace, result.trace) is None
+            write_trace(source.trace, tmp_path / "again.jsonl")
+        assert len(streamed) > 0
+        assert "events:" in capsys.readouterr().out
+        assert _holds_rows(source.trace) and _holds_rows(result.trace)
+        assert (tmp_path / "again.jsonl").read_text() == path.read_text()
+
+
 _HEADER = canonical_line(Trace(CONFIG, 100.0).header_dict())
 _HEADERS = st.sampled_from(
     [
@@ -343,6 +627,13 @@ _ODD_LINES = st.sampled_from(
         '{"t":{"fail":1},"time":1.5}',
         '{"t":"jdone", "time":1.5 ,"job":2}',
         '{"t":"jdone","time":1.5,"job":"\\ud800"}',
+        '{"t":"jdone","time":1.5,"job":2}',
+        '{"cat":"GPU","gpus":"01","node":1,"t":"fail","time":1.5,'
+        '"ttr":2.0}',
+        '{"cat":"GPU","gpus":[0,true],"node":1,"t":"fail","time":1.5,'
+        '"ttr":2.0}',
+        '{"job":2,"nodes":5,"t":"jstart","time":1.5}',
+        '{"job":2,"nodes":[3,1],"t":"jstart","time":0.0}',
         '{"t":"jdone","time":NaN,"job":2}',
         _HEADER,
     ]
@@ -468,6 +759,38 @@ class TestParseTraceMatchesOracle:
             assert _parse_outcome(parse_trace, line, on_error) == (
                 _parse_outcome(parse_trace_json_loads, line, on_error)
             )
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            '{"t":"jdone","time":1.5,"job":2}',
+            '{"job":2,"t":"jdone","time":1.5,"x":1}',
+            '{"job":2,"t":"jdone","time":1.5,"job":3}',
+            '{"cat":"GPU","gpus":"01","node":1,"t":"fail","time":1.5,'
+            '"ttr":2.0}',
+            '{"cat":"GPU","gpus":[0,true],"node":1,"t":"fail","time":1.5,'
+            '"ttr":2.0}',
+            '{"job":2,"nodes":5,"t":"jstart","time":1.5}',
+            '{"job":2,"nodes":[3,1],"t":"jstart","time":0.0}',
+            '{"job":2,"t":"jdone","time":1}',
+        ],
+        ids=[
+            "key-order", "extra-key", "duplicate-key", "gpus-string",
+            "gpus-bool", "nodes-int", "zero-time", "int-time",
+        ],
+    )
+    def test_event_lines_that_are_not_rows(self, line):
+        """Lines a row cannot hold as they read, between canonical
+        ones: the trace reads as the oracle reads it, lines and all."""
+        plain = '{"job":1,"t":"jdone","time":0.5}'
+        text = "\n".join([_HEADER, plain, line, plain])
+        for on_error in ("raise", "quarantine"):
+            assert _parse_outcome(parse_trace, text, on_error) == (
+                _parse_outcome(parse_trace_json_loads, text, on_error)
+            )
+        parsed, _ = parse_trace(text)
+        oracle, _ = parse_trace_json_loads(text)
+        assert parsed.lines() == oracle.lines()
 
     def test_recorded_run_reads_alike(self, workload_trace):
         text = workload_trace.dumps()

@@ -53,6 +53,36 @@ class TestDiffReports:
         assert diff["scheduler.jobs_completed"].baseline is None
         assert diff["scheduler.jobs_completed"].counterfactual == 12
 
+    def test_train_fields_flattened(self):
+        left = {
+            **BASE,
+            "train": {
+                "restarts": 2,
+                "completed": False,
+                "lost_work_by_category": {"GPU": 1.5, "IB": 2.0},
+            },
+        }
+        right = {
+            **BASE,
+            "train": {
+                "restarts": 3,
+                "completed": True,
+                "lost_work_by_category": {"GPU": 2.5, "CPU": 0.5},
+            },
+        }
+        diff = diff_reports(left, right)
+        assert "train" not in {f.field for f in diff.fields}
+        assert diff["train.restarts"].delta == 1
+        assert diff["train.completed"].delta is None
+        assert diff["train.lost_work_by_category.GPU"].delta == 1.0
+        assert diff["train.lost_work_by_category.IB"].counterfactual is None
+        assert diff["train.lost_work_by_category.CPU"].baseline is None
+        assert all(
+            not isinstance(f.baseline, dict)
+            and not isinstance(f.counterfactual, dict)
+            for f in diff.fields
+        )
+
     def test_unknown_field_raises_key_error(self):
         with pytest.raises(KeyError):
             diff_reports(BASE, BASE)["no_such_field"]

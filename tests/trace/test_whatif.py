@@ -5,8 +5,9 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import TraceError
-from repro.sim import CheckpointPolicy
-from repro.trace import WhatIf, run_whatif
+from repro.sim import CheckpointPolicy, ClusterSimulator
+from repro.train import TrainingJobConfig
+from repro.trace import WhatIf, record_run, run_whatif
 
 from tests.trace.conftest import copy_trace
 
@@ -46,6 +47,31 @@ class TestWhatIf:
         assert any(
             f.field.startswith("scheduler.") for f in result.diff.changed
         )
+
+    def test_checkpoint_interval_on_a_training_trace(self):
+        simulator = ClusterSimulator(
+            "a100",
+            seed=1,
+            checkpoint_policy=CheckpointPolicy(2.0, 0.25),
+            train=TrainingJobConfig(num_nodes=64),
+        )
+        _, trace = record_run(simulator, 200.0)
+        diff = run_whatif(
+            trace, WhatIf(checkpoint_interval_hours=6.0)
+        ).diff
+        changed = {f.field: f for f in diff.changed}
+        # The training statistics diff field by field, with deltas,
+        # not as one "train" field holding a dict on each side.
+        assert "train" not in changed
+        assert changed["train.checkpoint_overhead_hours"].delta < 0
+        assert changed["train.lost_work_hours"].delta > 0
+        assert any(
+            name.startswith("train.lost_work_by_category.")
+            for name in changed
+        )
+        assert all(f.delta is not None for f in changed.values())
+        text = diff.format_text()
+        assert "{" not in text and "train.lost_work_hours" in text
 
     def test_checkpoint_policy_wins_over_interval(self, workload_trace):
         overrides = WhatIf(
