@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Parallel-substrate benchmark: warm pool, shm handoff, stealing.
+"""Parallel-substrate benchmark: warm pool, shared payload, stealing.
 
 Four sections, written to ``BENCH_parallel.json`` at the repo root:
 
@@ -12,11 +12,16 @@ Four sections, written to ``BENCH_parallel.json`` at the repo root:
   asserted, with ``speedup_asserted`` false on hosts without the
   cores to honestly claim a ratio (never a <1x regression recorded
   as a passing result).
-* ``shm`` — the zero-copy claim, measured: per-task serialized
-  payload for a grid sweep over one log, old style (the log pickled
-  into every task tuple) vs the shared-memory spec each chunk now
-  carries — O(dataset bytes) down to O(metadata) — plus bit-parity
-  of a shared-payload sweep against its serial twin.
+* ``shared`` — the ``shared=`` payload transport on a grid sweep:
+  ``SHARED_GRID`` (16 points) over a 10x ``perf_core.tiled_log`` (4x
+  under a smoke-sized ``REPRO_BENCH_REPLICATIONS``) on a warm
+  2-worker pool.  Serial, the ``shared=`` sweep and a
+  ``functools.partial`` sweep that pickles the log into every chunk
+  are timed interleaved for ``SHARED_ROUNDS`` rounds, parity asserted
+  on every run, with the payload bytes each chunk carries and the
+  most times any worker unpickled the payload in one sweep.  The
+  frozen ``before_shm`` block holds the shared-memory transport this
+  one replaced, measured against it.
 * ``stealing`` — work-stealing under adversarially uneven lengths:
   one 50x-long item among 31 short ones.  Sleep-based, so workers
   overlap even on a single-core host: the parallel wall must beat
@@ -26,32 +31,33 @@ Run::
 
     PYTHONPATH=src python benchmarks/perf_parallel.py
 
-Environment knobs: ``REPRO_BENCH_REPLICATIONS`` resizes the ensemble
-(CI smoke uses a small one); ``REPRO_CHUNK_TARGET_MS`` tunes the
-autotuner's chunk duration target.
+Environment knob: ``REPRO_BENCH_REPLICATIONS`` resizes the ensemble
+(CI smoke uses a small one) and, below the default, the ``shared``
+section's log.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import pickle
 import platform
+import statistics
 import time
 from pathlib import Path
 
 import numpy as np
 
+from perf_core import tiled_log
 from repro.parallel import (
-    SharedPayload,
     available_cpus,
     pool_stats,
     shutdown_pool,
     sweep,
 )
-from repro.predict.tuning import sweep_rate_predictor
+from repro.predict.tuning import _evaluate_pair, sweep_rate_predictor
 from repro.sim.montecarlo import run_replications
-from repro.synth import GeneratorConfig, generate_log
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 REPORT_PATH = REPO_ROOT / "BENCH_parallel.json"
@@ -64,6 +70,42 @@ ENSEMBLE_HORIZON_HOURS = 500.0
 STEALING_SHORT_S = 0.01
 STEALING_LONG_S = 0.5
 STEALING_ITEMS = 32
+SHARED_WORKERS = 2
+SHARED_GRID = dict(
+    window_grid=(336.0, 1000.0, 3000.0, 8000.0),
+    threshold_grid=(2, 3, 4, 5),
+)
+SHARED_LOG_FACTOR = 10
+SHARED_SMOKE_LOG_FACTOR = 4
+SHARED_ROUNDS = 3
+
+#: The shared-memory transport that ``shared=`` used before the
+#: cached pickle, measured alternating with it; not re-measured.
+SHARED_BEFORE = {
+    "note": (
+        "shared-memory transport (the log's records pickled into one "
+        "segment, its columns exported as zero-copy views): the grid "
+        "sweep of the shared section on a 10x log, ten runs alternating "
+        "with the cached pickle, each side in its own process on a warm "
+        "2-worker pool, parity asserted on every run, on a shared 2-CPU "
+        "host (Python 3.11.7, NumPy 2.4.6); not re-measured"
+    ),
+    "log_factor": 10,
+    "grid_points": 16,
+    "workers": 2,
+    "runs_s": [
+        4.423, 4.45, 3.798, 4.172, 5.111,
+        5.391, 5.639, 6.174, 6.755, 5.262,
+    ],
+    "median_s": 5.187,
+    "quartiles_s": [4.36, 5.187, 5.773],
+    "cached_pickle_runs_s": [
+        3.887, 3.956, 5.307, 4.622, 5.067,
+        4.487, 4.78, 6.249, 5.21, 5.351,
+    ],
+    "cached_pickle_median_s": 4.923,
+    "cached_pickle_quartiles_s": [4.354, 4.923, 5.318],
+}
 
 
 def _replications() -> int:
@@ -143,50 +185,92 @@ def _bench_ensemble() -> dict:
     }
 
 
-def _bench_shm() -> dict:
-    """Per-task payload bytes: pickled-log tasks vs the shm spec."""
-    log = generate_log(
-        "tsubame2",
-        config=GeneratorConfig(seed=BENCH_SEED, num_failures=1400),
-    )
-    log.columns  # populate the columnar cache, as a hot caller would
-    grid = dict(window_grid=(336.0, 1000.0), threshold_grid=(2, 3))
-    log_pickle_bytes = len(pickle.dumps(log))
-    # What the old substrate shipped per task: the log inside every
-    # task tuple.
-    per_task_old = len(pickle.dumps((log, 336.0, 2)))
-    payload = SharedPayload(log)
-    try:
-        per_chunk_new = payload.spec_nbytes()
-    finally:
-        payload.close()
+#: Payloads seen by this process, by id, so that no payload is freed
+#: and a second unpickled copy cannot reuse its address.
+_held: dict[int, object] = {}
 
-    start = time.perf_counter()
-    serial = sweep_rate_predictor(log, **grid)
-    serial_s = time.perf_counter() - start
-    start = time.perf_counter()
-    parallel = sweep_rate_predictor(log, **grid, processes=POOL_WORKERS)
-    parallel_s = time.perf_counter() - start
-    parity = serial == parallel
-    assert parity, (
-        "shared-memory grid sweep diverged from the serial run — "
-        "the zero-copy handoff is not bit-transparent"
-    )
-    return {
-        "log_failures": len(log),
-        "log_pickle_bytes": log_pickle_bytes,
-        "per_task_payload_bytes_old": per_task_old,
-        "per_chunk_payload_bytes_new": per_chunk_new,
-        "payload_shrink_factor": (
-            per_task_old / per_chunk_new
-            if per_chunk_new
-            else float("inf")
+
+def _worker_and_payload(item: int, shared) -> tuple[int, int]:
+    _held[id(shared)] = shared
+    return os.getpid(), id(shared)
+
+
+def _quartiles(runs: list[float]) -> list[float]:
+    return statistics.quantiles(runs, n=4) if len(runs) > 1 else runs * 3
+
+
+def _bench_shared() -> dict:
+    """Serial vs ``shared=`` vs a log pickled into every chunk."""
+    smoke = _replications() < ENSEMBLE_REPLICATIONS
+    factor = SHARED_SMOKE_LOG_FACTOR if smoke else SHARED_LOG_FACTOR
+    log = tiled_log(factor)
+    tasks = [
+        (window, threshold)
+        for window in SHARED_GRID["window_grid"]
+        for threshold in SHARED_GRID["threshold_grid"]
+    ]
+    per_chunk = functools.partial(_evaluate_pair, log=log)
+    shutdown_pool()
+    sweep(per_chunk, tasks[:SHARED_WORKERS], processes=SHARED_WORKERS)
+
+    runs = {
+        "serial": lambda: sweep_rate_predictor(log, **SHARED_GRID),
+        "shared": lambda: sweep_rate_predictor(
+            log, **SHARED_GRID, processes=SHARED_WORKERS
         ),
-        "grid_points": len(serial),
-        "serial_s": serial_s,
-        "parallel_s": parallel_s,
-        "parity_ok": parity,
-        "speedup_asserted": available_cpus() >= 2,
+        "per_chunk_pickle": lambda: sweep(
+            per_chunk, tasks, processes=SHARED_WORKERS
+        ),
+    }
+    walls: dict[str, list[float]] = {name: [] for name in runs}
+    expected = None
+    for round_index in range(SHARED_ROUNDS):
+        names = list(runs)
+        names = names[round_index % 3:] + names[:round_index % 3]
+        for name in names:
+            start = time.perf_counter()
+            result = runs[name]()
+            walls[name].append(time.perf_counter() - start)
+            if expected is None:
+                expected = result
+            assert result == expected, (
+                f"{name} grid sweep diverged from the others"
+            )
+
+    pairs = sweep(
+        _worker_and_payload, range(16), processes=SHARED_WORKERS,
+        chunksize=1, shared=log,
+    )
+    ids_by_pid: dict[int, set[int]] = {}
+    for pid, ident in pairs:
+        ids_by_pid.setdefault(pid, set()).add(ident)
+    log_pickle = pickle.dumps(log, protocol=pickle.HIGHEST_PROTOCOL)
+    return {
+        "log_factor": factor,
+        "log_failures": len(log),
+        "grid_points": len(tasks),
+        "workers": SHARED_WORKERS,
+        "rounds": SHARED_ROUNDS,
+        "payload_bytes_per_chunk": {
+            # The token and the log's pickle, sent with every chunk;
+            # a worker unpickles them once per sweep.
+            "shared": len(pickle.dumps(("0" * 32, log_pickle))),
+            # The log inside the pickled function, unpickled per chunk.
+            "per_chunk_pickle": len(pickle.dumps(per_chunk)),
+        },
+        "max_loads_per_worker": max(
+            len(ids) for ids in ids_by_pid.values()
+        ),
+        "runs_s": walls,
+        "median_s": {
+            name: statistics.median(values)
+            for name, values in walls.items()
+        },
+        "quartiles_s": {
+            name: _quartiles(values) for name, values in walls.items()
+        },
+        "parity_ok": True,
+        "before_shm": SHARED_BEFORE,
     }
 
 
@@ -233,7 +317,7 @@ def run_benchmark() -> dict:
         "numpy": np.__version__,
         "pool": _bench_pool(),
         "ensemble": _bench_ensemble(),
-        "shm": _bench_shm(),
+        "shared": _bench_shared(),
         "stealing": _bench_stealing(),
     }
 
@@ -262,12 +346,17 @@ def main() -> None:
         f"asserted={ensemble['speedup_asserted']}), "
         f"parity={ensemble['parity_ok']}"
     )
-    shm = results["shm"]
+    shared = results["shared"]
+    medians = shared["median_s"]
     print(
-        f"shm: per-task payload {shm['per_task_payload_bytes_old']:,} B"
-        f" -> {shm['per_chunk_payload_bytes_new']:,} B per chunk "
-        f"({shm['payload_shrink_factor']:.0f}x smaller), "
-        f"parity={shm['parity_ok']}"
+        f"shared ({shared['log_factor']}x log, "
+        f"{shared['grid_points']} points, {shared['workers']} workers, "
+        f"median of {shared['rounds']}): serial "
+        f"{medians['serial']:.2f}s, shared= {medians['shared']:.2f}s, "
+        f"per-chunk pickle {medians['per_chunk_pickle']:.2f}s; "
+        f"{shared['payload_bytes_per_chunk']['shared']:,} B per chunk, "
+        f"<= {shared['max_loads_per_worker']} load(s) per worker, "
+        f"parity={shared['parity_ok']}"
     )
     stealing = results["stealing"]
     print(

@@ -1,13 +1,12 @@
-"""Parallel-substrate bench — the warm-pool / shm / stealing PR's
-acceptance criteria, kept green.
+"""Parallel-substrate bench — warm pool, shared payload, stealing.
 
 Runs the full :mod:`perf_parallel` benchmark, writes
 ``BENCH_parallel.json``, and asserts the claims that hold on *any*
 host: bit-exact serial/parallel parity, one executor spawn across
-consecutive sweeps (the warm pool actually reused), the per-task
-payload collapse from O(dataset bytes) to O(metadata), and the
-work-stealing wall beating the serial sum (sleep-based, so it holds
-even on one core).  Wall-clock speedup of the CPU-bound ensemble is
+consecutive sweeps (the warm pool actually reused), at most one
+unpickle of a ``shared=`` payload per worker per sweep, the frozen
+``before_shm`` block, and the work-stealing wall beating the serial
+sum (sleep-based, so it holds even on one core).  Wall-clock speedup of the CPU-bound ensemble is
 asserted only where ``speedup_asserted`` is true — on a host with
 cores to back the claim.
 """
@@ -55,16 +54,19 @@ def test_ensemble_speedup_where_assertable(results):
         assert measured > 1.0, ensemble
 
 
-def test_shm_payload_is_metadata_sized(results):
-    shm = results["shm"]
-    # The old substrate shipped the whole dataset per task; a chunk
-    # now carries a fixed-size spec regardless of log size.
-    assert shm["per_chunk_payload_bytes_new"] < 4_000
-    assert (
-        shm["per_chunk_payload_bytes_new"]
-        < shm["per_task_payload_bytes_old"] / 10
-    ), shm
-    assert shm["parity_ok"] is True
+def test_shared_payload_parity_and_one_load_per_worker(results):
+    shared = results["shared"]
+    assert shared["parity_ok"] is True
+    assert shared["max_loads_per_worker"] == 1, shared
+    assert shared["grid_points"] == 16
+
+
+def test_before_shm_block_is_frozen(results):
+    before = results["shared"]["before_shm"]
+    assert before == perf_parallel.SHARED_BEFORE
+    assert "not re-measured" in before["note"]
+    assert before["grid_points"] == results["shared"]["grid_points"]
+    assert before["workers"] == results["shared"]["workers"]
 
 
 def test_stealing_beats_serial_sum_everywhere(results):

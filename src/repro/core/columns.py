@@ -271,35 +271,6 @@ class ColumnarView:
             self.slot_offsets[index]:self.slot_offsets[index + 1]
         ]
 
-    # -- shared-memory transport -------------------------------------------
-
-    def export_shm(self):
-        """Export this view's arrays into one shared-memory segment.
-
-        Returns the owning :class:`repro.parallel.shm.ShmColumnBlock`;
-        its picklable ``handle`` (O(metadata) bytes regardless of log
-        size) is what travels to worker processes, which rebuild the
-        view with :meth:`from_shm` as zero-copy views over the shared
-        pages.  The caller owns the block and must ``close()`` it when
-        the consumers are done attaching.
-        """
-        from repro.parallel.shm import export_view
-
-        return export_view(self)
-
-    @staticmethod
-    def from_shm(handle) -> "ColumnarView":
-        """Rebuild a view from an exported block's handle — the arrays
-        are read-only views into the shared segment, no bytes copied.
-
-        Raises:
-            SweepError: If the handle was not produced by
-                :meth:`export_shm`.
-        """
-        from repro.parallel.shm import view_from_handle
-
-        return view_from_handle(handle)
-
 
 def _category_table(
     machine: str, names: list[str]

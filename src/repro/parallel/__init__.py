@@ -2,33 +2,25 @@
 
 Monte-Carlo replication (many seeds through the same pipeline) and
 grid sweeps (many configurations over the same log) are embarrassingly
-parallel, but naive parallelism breaks two guarantees this repo cares
-about: result *determinism* (the output must not depend on worker
-scheduling) and *parity* (the parallel path must return exactly what
-the serial loop returns, in the same order).  And naive process pools
-break a third thing — the *speedup itself*: pool startup and
-per-task pickling of columnar data made ``--workers 4`` a 0.89x
-"slowdown" before this package existed.
+parallel.  This package runs them across processes while keeping two
+guarantees: result *determinism* (the output does not depend on worker
+scheduling) and *parity* (the parallel path returns exactly what the
+serial loop returns, in the same order).
 
-The package splits the substrate into four layers:
+Three modules:
 
 * :mod:`repro.parallel.outcomes` — outcome/error types, worker-count
   policy (``REPRO_WORKERS``, CPU affinity), retry-bounded item runner.
 * :mod:`repro.parallel.pool` — the process-lifetime warm worker pool
   (singleton, fork-safe, crash-respawning) that amortises
   fork + import startup across every sweep in the process.
-* :mod:`repro.parallel.shm` — zero-copy handoff of large sweep-wide
-  payloads (``FailureLog`` columns, ``ColumnarView`` arrays) over
-  ``multiprocessing.shared_memory``, pickle fallback for everything
-  else.
 * :mod:`repro.parallel.sweeps` — :func:`sweep` / :func:`sweep_iter`:
   input-ordered, fault-tolerant dispatch with probe-autotuned
-  work-stealing chunking.
+  work-stealing chunking, and a ``shared=`` payload each worker
+  unpickles once per sweep.
 
-Public API is unchanged from the old ``repro.parallel`` module —
-``sweep(fn, seeds, processes=...)`` is still bit-identical to
-``[fn(s) for s in seeds]`` — plus the pool controls and shm types for
-callers that want them.  ``fn`` must be picklable (a module-level
+``sweep(fn, seeds, processes=...)`` is bit-identical to
+``[fn(s) for s in seeds]``.  ``fn`` must be picklable (a module-level
 function or a picklable callable object, not a lambda or closure)
 whenever ``processes > 1``.
 """
@@ -45,7 +37,6 @@ from repro.parallel.pool import (
     pool_stats,
     shutdown_pool,
 )
-from repro.parallel.shm import SharedPayload, ShmColumnBlock
 from repro.parallel.sweeps import sweep, sweep_iter
 
 __all__ = [
@@ -59,6 +50,4 @@ __all__ = [
     "get_pool",
     "shutdown_pool",
     "pool_stats",
-    "ShmColumnBlock",
-    "SharedPayload",
 ]

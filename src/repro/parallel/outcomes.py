@@ -12,7 +12,7 @@ from __future__ import annotations
 import os
 import pickle
 import time as _time
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 from dataclasses import dataclass
 from typing import Any, TypeVar
 
@@ -225,33 +225,3 @@ def attempt_item(
     assert last is not None
     return None, last, attempts
 
-
-def finalize(
-    items: Sequence[_ItemT],
-    raw: Sequence[tuple[Any, BaseException | None, int]],
-    return_errors: bool,
-) -> list[Any]:
-    """Turn per-item ``(result, error, attempts)`` triples into the
-    caller-facing value: raw results (raising on the first failure) or
-    :class:`SweepOutcome`s."""
-    if return_errors:
-        return [
-            SweepOutcome(
-                index=index,
-                item=item,
-                result=result,
-                error=error,
-                attempts=attempts,
-            )
-            for index, (item, (result, error, attempts)) in enumerate(
-                zip(items, raw)
-            )
-        ]
-    results = []
-    for index, (item, (result, error, attempts)) in enumerate(
-        zip(items, raw)
-    ):
-        if error is not None:
-            raise SweepItemError(index, item, attempts, error) from error
-        results.append(result)
-    return results

@@ -1,14 +1,9 @@
 """Persistent warm worker pool shared by every sweep in the process.
 
-The old ``repro.parallel`` created a fresh
-:class:`~concurrent.futures.ProcessPoolExecutor` per ``sweep`` call
-and tore it down afterwards.  Interpreter start + module imports cost
-hundreds of milliseconds per worker, so at realistic task sizes the
-pool setup dominated and ``BENCH_sim.json`` recorded parallel
-ensembles at **0.89x** — paying for parallelism and receiving a
-slowdown.
-
-This module keeps **one** pool alive for the process lifetime:
+Interpreter start + module imports cost hundreds of milliseconds per
+worker, so this module keeps **one**
+:class:`~concurrent.futures.ProcessPoolExecutor` alive for the process
+lifetime instead of one per sweep:
 
 * :func:`get_pool` returns the module singleton, creating it on first
   use and *growing* it (never shrinking) when a caller asks for more
@@ -25,10 +20,8 @@ This module keeps **one** pool alive for the process lifetime:
   :meth:`WorkerPool.notify_broken` with the generation it was using.
   The first notifier swaps in a fresh executor (generation + 1);
   concurrent sweeps that saw the same break become no-ops.  The
-  *sweep-level* recovery contract is unchanged from before — the
-  notifying sweep still re-runs its unfinished chunks serially in the
-  parent — the respawn just restores warm parallelism for the *next*
-  call instead of leaving a corpse.
+  notifying sweep re-runs its unfinished chunks in the parent; the
+  respawn restores warm parallelism for the *next* call.
 * **Thread safety**: ``repro.serve`` drains micro-batches from
   executor threads, so several sweeps may share the pool
   concurrently.  ``ProcessPoolExecutor.submit`` is thread-safe; the
@@ -46,8 +39,8 @@ from __future__ import annotations
 import atexit
 import os
 import threading
-from concurrent.futures import Future, ProcessPoolExecutor
-from typing import Any, Callable
+from concurrent.futures import ProcessPoolExecutor
+from typing import Any
 
 __all__ = [
     "WorkerPool",
@@ -103,13 +96,6 @@ class WorkerPool:
             if self._executor is None:
                 raise RuntimeError("worker pool is shut down")
             return self._executor, self._generation
-
-    def submit(
-        self, fn: Callable[..., Any], /, *args: Any, **kwargs: Any
-    ) -> Future:
-        """Submit one task to the current executor (thread-safe)."""
-        executor, _generation = self.executor()
-        return executor.submit(fn, *args, **kwargs)
 
     def grow(self, max_workers: int) -> None:
         """Replace the executor with a larger one; no-op if already

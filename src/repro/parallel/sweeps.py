@@ -1,49 +1,47 @@
 """Deterministic, fault-tolerant sweeps on the warm worker pool.
 
-:func:`sweep` / :func:`sweep_iter` keep the contracts the repo has
-always had — input-ordered results bit-identical to the serial loop,
-attributed failures, bounded retries, crash recovery — and add the
-three mechanisms that make ``processes > 1`` actually pay:
+:func:`sweep` / :func:`sweep_iter` return input-ordered results
+bit-identical to the serial loop, with attributed failures, bounded
+retries and crash recovery.  :func:`sweep` is ``list(sweep_iter(...))``
+unwrapped, so both share one dispatch loop:
 
 * **Warm pool** (:mod:`repro.parallel.pool`): dispatch goes to the
-  process-lifetime singleton instead of a per-call executor, so the
-  fork + import cost is paid once per process, not once per sweep.
+  process-lifetime singleton, so the fork + import cost is paid once
+  per process, not once per sweep.
 
-* **Zero-copy shared payload** (:mod:`repro.parallel.shm`): a sweep
-  whose items all reference one large object passes it once as
-  ``shared=obj``; ``fn`` is then called as ``fn(item, obj)``.  In
-  parallel runs the object travels via shared memory and each chunk
-  carries an O(metadata) token; serially the very same object is
-  handed to ``fn`` directly.  Either way ``fn`` sees an equal object,
-  preserving parity.
+* **Shared payload**: a sweep whose items all read one large object
+  passes it once as ``shared=obj``; ``fn`` is then called as
+  ``fn(item, obj)``.  A parallel run pickles the object once per
+  sweep and every chunk carries ``(token, bytes)``; a worker unpickles
+  the bytes the first time it sees the token and reuses the object
+  for the rest of the sweep.  Serially the very same object is handed
+  to ``fn``.  Either way ``fn`` sees an equal object, preserving
+  parity.
 
 * **Work-stealing dispatch with autotuned chunking**: items are split
   into many small chunks on the executor's shared call queue, so a
   worker that drew a fast chunk immediately steals the next instead
-  of idling behind a slow sibling.  Chunk size is picked by a probe
-  phase: the first ``processes`` items are dispatched as single-item
-  probes (keeping every worker busy from the first microsecond), the
-  time to the first completion estimates per-item cost, and the
-  remaining items are chunked to target ``REPRO_CHUNK_TARGET_MS``
-  (default 20 ms) of work per chunk — long items degrade to per-item
-  dispatch (maximal stealing), micro-items batch up (minimal
-  overhead).  An explicit ``chunksize=`` bypasses the autotuner.
+  of idling behind a slow sibling.  The first ``processes`` items go
+  out as single-item probes; the time to the first completion
+  estimates the per-item cost, and the remaining items are chunked to
+  about 20 ms of work each.  An explicit ``chunksize=`` bypasses the
+  autotuner.
 
-Failure semantics are unchanged: worker exceptions come back
-attributed (:class:`SweepItemError` / per-item
-:class:`SweepOutcome`); a worker process dying mid-sweep
+Failures come back attributed (:class:`SweepItemError` / per-item
+:class:`SweepOutcome`).  A worker process dying mid-sweep
 (``BrokenProcessPool``) keeps finished chunks, re-runs unfinished
-ones serially in the parent, and respawns the warm pool for the next
-caller.  ``KeyboardInterrupt`` during a sweep shuts the pool down
-before propagating, so an interrupted CLI exits 130 without waiting
-on orphaned workers.
+ones in the parent, and respawns the warm pool for the next caller.
+``KeyboardInterrupt`` during a sweep shuts the pool down before
+propagating, so an interrupted CLI exits 130 without waiting on
+orphaned workers.
 """
 
 from __future__ import annotations
 
 import math
-import os
+import pickle
 import time
+import uuid
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from concurrent.futures import FIRST_COMPLETED, Future, wait
 from concurrent.futures.process import BrokenProcessPool
@@ -52,39 +50,42 @@ from typing import Any, TypeVar
 from repro.parallel.outcomes import (
     SweepOutcome,
     attempt_item,
-    finalize,
     picklable_error,
     validate_sweep_args,
 )
 from repro.parallel.pool import get_pool, shutdown_pool
-from repro.parallel.shm import SharedPayload, SharedSpec, resolve_shared
 
 __all__ = ["sweep", "sweep_iter"]
 
 _ItemT = TypeVar("_ItemT")
 _ResultT = TypeVar("_ResultT")
 
-#: Work per autotuned chunk; raise to shave dispatch overhead on
-#: homogeneous loads, lower for better stealing on lumpy ones.
-_DEFAULT_CHUNK_TARGET_MS = 20.0
+#: Work per autotuned chunk.
+_CHUNK_TARGET_S = 0.020
 
 #: Autotuned chunks per worker, floor — keeps enough chunks in the
 #: queue that uneven lengths can be stolen around.
 _CHUNKS_PER_WORKER = 4
 
+#: Shared payloads a worker keeps unpickled; the oldest goes first.
+_SHARED_CACHE_CAP = 4
+
 _Triple = tuple[Any, BaseException | None, int]
 
+#: token -> unpickled shared payload, in insertion order.
+_shared_cache: dict[str, Any] = {}
 
-def _chunk_target_seconds() -> float:
-    raw = os.environ.get("REPRO_CHUNK_TARGET_MS", "").strip()
-    if raw:
-        try:
-            millis = float(raw)
-            if millis > 0:
-                return millis / 1000.0
-        except ValueError:
-            pass
-    return _DEFAULT_CHUNK_TARGET_MS / 1000.0
+
+def _load_shared(token: str, data: bytes) -> Any:
+    """The sweep's shared payload in this process, unpickled once per
+    token."""
+    if token in _shared_cache:
+        return _shared_cache[token]
+    value = pickle.loads(data)
+    while len(_shared_cache) >= _SHARED_CACHE_CAP:
+        del _shared_cache[next(iter(_shared_cache))]
+    _shared_cache[token] = value
+    return value
 
 
 def _run_chunk(
@@ -92,42 +93,21 @@ def _run_chunk(
     chunk: Sequence[Any],
     retries: int,
     backoff_seconds: float,
-    spec: SharedSpec | None = None,
-) -> list[_Triple]:
-    """Worker entry point: run a chunk, capturing per-item failures.
-
-    With ``spec`` the shared payload is materialised (from cache after
-    the first chunk in this worker) and passed to ``fn`` as its second
-    argument.
-    """
-    shared: Any = None
-    has_shared = spec is not None
-    if has_shared:
-        try:
-            shared = resolve_shared(spec)
-        except Exception as exc:
-            error = picklable_error(exc)
-            return [(None, error, 1)] * len(chunk)
-    out = []
-    for item in chunk:
-        result, error, attempts = attempt_item(
-            fn, item, retries, backoff_seconds, shared, has_shared
-        )
-        if error is not None:
-            error = picklable_error(error)
-        out.append((result, error, attempts))
-    return out
-
-
-def _run_chunk_local(
-    fn: Callable[..., Any],
-    chunk: Sequence[Any],
-    retries: int,
-    backoff_seconds: float,
     shared: Any,
     has_shared: bool,
+    packed: tuple[str, bytes] | None = None,
 ) -> list[_Triple]:
-    """Parent-side chunk runner for broken-pool recovery."""
+    """Run a chunk, capturing per-item failures.
+
+    Workers get the shared payload as ``packed``, the sweep's
+    ``(token, bytes)``; the parent, re-running a chunk after the pool
+    broke, passes the object itself as ``shared``.
+    """
+    if packed is not None:
+        try:
+            shared = _load_shared(*packed)
+        except Exception as exc:
+            return [(None, picklable_error(exc), 1)] * len(chunk)
     out = []
     for item in chunk:
         result, error, attempts = attempt_item(
@@ -137,25 +117,6 @@ def _run_chunk_local(
             error = picklable_error(error)
         out.append((result, error, attempts))
     return out
-
-
-def _submit(
-    executor: Any,
-    fn: Callable[..., Any],
-    chunk: Sequence[Any],
-    retries: int,
-    backoff_seconds: float,
-    spec: SharedSpec | None,
-) -> Future | None:
-    """Submit one chunk; ``None`` when the executor was swapped out
-    underneath us (another thread respawned/grew the pool) — the
-    harvest loop runs such chunks serially."""
-    try:
-        return executor.submit(
-            _run_chunk, fn, chunk, retries, backoff_seconds, spec
-        )
-    except RuntimeError:
-        return None
 
 
 def _plan_and_submit(
@@ -166,7 +127,8 @@ def _plan_and_submit(
     chunksize: int | None,
     retries: int,
     backoff_seconds: float,
-    spec: SharedSpec | None,
+    has_shared: bool,
+    packed: tuple[str, bytes] | None,
 ) -> list[tuple[Sequence[Any], Future | None]]:
     """Chunk ``items`` and submit every chunk, in input order.
 
@@ -175,35 +137,32 @@ def _plan_and_submit(
     single-item probe chunks; the first probe to finish calibrates
     the per-item cost and the tail is chunked to the time target —
     small enough that ``_CHUNKS_PER_WORKER`` chunks per worker stay
-    available for stealing, large enough to amortise dispatch.
+    available for stealing, large enough to amortise dispatch.  A
+    ``None`` future marks a chunk the executor refused (another thread
+    respawned or grew the pool); the caller runs it in-process.
     """
     entries: list[tuple[Sequence[Any], Future | None]] = []
+
+    def submit(start: int, stop: int) -> None:
+        chunk = items[start:stop]
+        try:
+            future = executor.submit(
+                _run_chunk, fn, chunk, retries, backoff_seconds,
+                None, has_shared, packed,
+            )
+        except RuntimeError:
+            future = None
+        entries.append((chunk, future))
+
     if chunksize is not None:
         for start in range(0, len(items), chunksize):
-            chunk = items[start:start + chunksize]
-            entries.append(
-                (
-                    chunk,
-                    _submit(
-                        executor, fn, chunk, retries,
-                        backoff_seconds, spec,
-                    ),
-                )
-            )
+            submit(start, start + chunksize)
         return entries
 
     probe_count = min(processes, len(items))
     probe_started = time.perf_counter()
     for index in range(probe_count):
-        chunk = items[index:index + 1]
-        entries.append(
-            (
-                chunk,
-                _submit(
-                    executor, fn, chunk, retries, backoff_seconds, spec
-                ),
-            )
-        )
+        submit(index, index + 1)
     remaining = len(items) - probe_count
     if remaining == 0:
         return entries
@@ -228,20 +187,9 @@ def _plan_and_submit(
         # with the failures.
         size = stealing_cap
     else:
-        size = max(
-            1,
-            min(int(_chunk_target_seconds() / per_item), stealing_cap),
-        )
+        size = max(1, min(int(_CHUNK_TARGET_S / per_item), stealing_cap))
     for start in range(probe_count, len(items), size):
-        chunk = items[start:start + size]
-        entries.append(
-            (
-                chunk,
-                _submit(
-                    executor, fn, chunk, retries, backoff_seconds, spec
-                ),
-            )
-        )
+        submit(start, start + size)
     return entries
 
 
@@ -279,10 +227,10 @@ def sweep(
             retry attempts (``backoff * 2**attempt``); 0 retries
             immediately.
         shared: One sweep-wide read-only object handed to every call
-            as ``fn(item, shared)``.  Parallel runs ship it through
-            shared memory once (zero-copy for columnar data) instead
-            of pickling it into every task; serial runs pass the
-            object through untouched.
+            as ``fn(item, shared)``.  Parallel runs pickle it once
+            per sweep and each worker unpickles it once, instead of
+            once per task; serial runs pass the object through
+            untouched.
 
     Returns:
         ``[fn(s) for s in seeds]`` — same values, same order,
@@ -293,74 +241,19 @@ def sweep(
         ValidationError: On a non-positive ``processes``/``chunksize``
             or a negative ``retries``/``backoff_seconds``.
         SweepItemError: When an item fails (after retries) and
-            ``return_errors`` is False.  The error names the item index
-            and repr and chains the worker exception as ``__cause__``.
+            ``return_errors`` is False.  The error names the first
+            failed item's index and repr and chains the worker
+            exception as ``__cause__``.
     """
-    validate_sweep_args(processes, chunksize, retries, backoff_seconds)
-    items: Sequence[_ItemT] = list(seeds)
-    if not items:
-        return []
-    has_shared = shared is not None
-    if processes is None or processes == 1 or len(items) == 1:
-        raw = [
-            attempt_item(
-                fn, item, retries, backoff_seconds, shared, has_shared
-            )
-            for item in items
-        ]
-        return finalize(items, raw, return_errors)
-
-    pool = get_pool(processes)
-    executor, generation = pool.executor()
-    payload = SharedPayload(shared) if has_shared else None
-    spec = payload.spec if payload is not None else None
-    try:
-        entries = _plan_and_submit(
-            executor, fn, items, processes, chunksize,
-            retries, backoff_seconds, spec,
+    outcomes = list(
+        sweep_iter(
+            fn, seeds, processes, chunksize, retries, backoff_seconds,
+            shared,
         )
-        chunk_results: list[list[_Triple] | None] = [None] * len(entries)
-        pool_broken = False
-        try:
-            for position, (chunk, future) in enumerate(entries):
-                if future is None:
-                    pool_broken = True
-                    continue
-                try:
-                    chunk_results[position] = future.result()
-                except BrokenProcessPool:
-                    # A worker died (crash/OOM/_exit).  Futures the
-                    # pool never ran fail the same way instantly; keep
-                    # harvesting so chunks that did finish are not
-                    # re-run, and re-dispatch the rest below.
-                    pool_broken = True
-        except KeyboardInterrupt:
-            # Workers must not outlive an interrupted parent; the
-            # CLI's exit-130 contract depends on not blocking here.
-            shutdown_pool()
-            raise
-        if pool_broken:
-            # Respawn the warm pool for the next caller, then keep
-            # this sweep's old contract: completed chunks are kept,
-            # only unfinished ones re-run, in the parent process, so
-            # hours of finished work survive a single worker crash.
-            pool.notify_broken(generation)
-            for position, (chunk, _future) in enumerate(entries):
-                if chunk_results[position] is None:
-                    chunk_results[position] = _run_chunk_local(
-                        fn, chunk, retries, backoff_seconds,
-                        shared, has_shared,
-                    )
-        raw = [
-            triple
-            for chunk in chunk_results
-            if chunk is not None
-            for triple in chunk
-        ]
-    finally:
-        if payload is not None:
-            payload.close()
-    return finalize(items, raw, return_errors)
+    )
+    if return_errors:
+        return outcomes
+    return [outcome.unwrap() for outcome in outcomes]
 
 
 def sweep_iter(
@@ -374,21 +267,17 @@ def sweep_iter(
 ) -> Iterator[SweepOutcome]:
     """Stream :class:`SweepOutcome`s in input order as they finish.
 
-    The generator twin of ``sweep(..., return_errors=True)``: same
-    dispatch (warm pool, autotuned work-stealing chunks, shared
-    payload), same fault tolerance, same input-ordered parity
-    guarantee — but outcomes are yielded chunk by chunk instead of
-    materialised, so a consumer folding a large replication ensemble
-    into online statistics holds one chunk of results at a time, not
-    all of them.  Later chunks keep computing in the pool while
-    earlier ones are consumed; abandoning the generator early cancels
-    what has not started while the pool itself stays warm for the
-    next sweep.
+    The generator form of ``sweep(..., return_errors=True)``:
+    outcomes are yielded chunk by chunk instead of materialised, so a
+    consumer folding a large replication ensemble into online
+    statistics holds one chunk of results at a time, not all of them.
+    Later chunks keep computing in the pool while earlier ones are
+    consumed; abandoning the generator early cancels what has not
+    started while the pool itself stays warm for the next sweep.
 
-    Args and failure semantics match :func:`sweep` with
-    ``return_errors=True`` (failures are captured per item, never
-    raised; a dead worker re-runs unfinished chunks in-process and
-    respawns the pool).
+    Args match :func:`sweep`.  Failures are captured per item, never
+    raised; a dead worker's unfinished chunks re-run in-process and
+    the pool respawns.
 
     Raises:
         ValidationError: On the same invalid arguments as
@@ -415,54 +304,58 @@ def sweep_iter(
 
     pool = get_pool(processes)
     executor, generation = pool.executor()
-    payload = SharedPayload(shared) if has_shared else None
-    spec = payload.spec if payload is not None else None
+    packed = (
+        (
+            uuid.uuid4().hex,
+            pickle.dumps(shared, protocol=pickle.HIGHEST_PROTOCOL),
+        )
+        if has_shared
+        else None
+    )
     entries: list[tuple[Sequence[Any], Future | None]] = []
     try:
-        try:
-            entries = _plan_and_submit(
-                executor, fn, items, processes, chunksize,
-                retries, backoff_seconds, spec,
-            )
-            start = 0
-            notified_broken = False
-            for chunk, future in entries:
-                triples: list[_Triple]
-                if future is None:
-                    triples = _run_chunk_local(
-                        fn, chunk, retries, backoff_seconds,
-                        shared, has_shared,
-                    )
-                else:
-                    try:
-                        triples = future.result()
-                    except BrokenProcessPool:
-                        # Same recovery as sweep(), per chunk: a dead
-                        # worker re-runs this chunk in-process; chunks
-                        # already yielded are untouched and later
-                        # chunks get the same treatment when their
-                        # futures surface the break.
-                        if not notified_broken:
-                            pool.notify_broken(generation)
-                            notified_broken = True
-                        triples = _run_chunk_local(
-                            fn, chunk, retries, backoff_seconds,
-                            shared, has_shared,
-                        )
-                for offset, (item, (result, error, attempts)) in (
-                    enumerate(zip(chunk, triples))
-                ):
-                    yield SweepOutcome(
-                        index=start + offset,
-                        item=item,
-                        result=result,
-                        error=error,
-                        attempts=attempts,
-                    )
-                start += len(chunk)
-        except KeyboardInterrupt:
-            shutdown_pool()
-            raise
+        entries = _plan_and_submit(
+            executor, fn, items, processes, chunksize,
+            retries, backoff_seconds, has_shared, packed,
+        )
+        start = 0
+        notified_broken = False
+        for chunk, future in entries:
+            triples: list[_Triple] | None = None
+            if future is not None:
+                try:
+                    triples = future.result()
+                except BrokenProcessPool:
+                    pass
+            if triples is None:
+                # A worker died (crash/OOM/_exit) or the executor
+                # refused the chunk.  Finished chunks keep their
+                # results; this one and every later one the pool never
+                # ran re-run here, and the pool respawns for the next
+                # caller (a no-op if it was already replaced).
+                if not notified_broken:
+                    pool.notify_broken(generation)
+                    notified_broken = True
+                triples = _run_chunk(
+                    fn, chunk, retries, backoff_seconds,
+                    shared, has_shared,
+                )
+            for offset, (item, (result, error, attempts)) in (
+                enumerate(zip(chunk, triples))
+            ):
+                yield SweepOutcome(
+                    index=start + offset,
+                    item=item,
+                    result=result,
+                    error=error,
+                    attempts=attempts,
+                )
+            start += len(chunk)
+    except KeyboardInterrupt:
+        # Workers must not outlive an interrupted parent; the CLI's
+        # exit-130 contract depends on not blocking here.
+        shutdown_pool()
+        raise
     finally:
         # Normal exit, close(), or an exception: drop what has not
         # started.  Cancelling is cheap and idempotent; chunks already
@@ -470,5 +363,3 @@ def sweep_iter(
         for _chunk, future in entries:
             if future is not None:
                 future.cancel()
-        if payload is not None:
-            payload.close()

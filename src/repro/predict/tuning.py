@@ -43,8 +43,8 @@ def _evaluate_pair(
 ) -> SweepPoint:
     """Score one (window, threshold) pair — module-level so the
     parallel sweep can ship it to worker processes.  The log arrives
-    as the sweep's ``shared=`` payload: one shared-memory export for
-    the whole grid instead of a pickled copy per task."""
+    as the sweep's ``shared=`` payload, which each worker unpickles
+    once per sweep instead of once per task."""
     window, threshold = task
     predictor = RateBasedPredictor(
         window_hours=window,
@@ -70,9 +70,9 @@ def sweep_rate_predictor(
     W hours is flagged for the next W hours).
 
     ``processes > 1`` spreads the grid over the warm worker pool via
-    :func:`repro.parallel.sweep`, handing the log to workers once over
-    shared memory (``shared=log``) rather than pickling it into every
-    task; results are identical to the serial run, in the same
+    :func:`repro.parallel.sweep` with ``shared=log``: the log is
+    pickled once and each worker unpickles it once, rather than once
+    per task; results are identical to the serial run, in the same
     (window-major) order.
 
     Raises:

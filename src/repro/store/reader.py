@@ -8,8 +8,7 @@ segments.  For a single-segment store the stored columns (record
 ids, timestamps, node ids, TTR, category and locus codes, calendar
 fields, slot CSR) are handed out as
 direct read-only views over the mapping: NumPy's base chain keeps the
-mmap alive under every derived array (the same pinning guarantee
-:mod:`repro.parallel.shm` documents), so no bytes are copied and no
+mmap alive under every derived array, so no bytes are copied and no
 lifetime bugs are possible.  Multi-segment stores concatenate, which
 compaction (:mod:`repro.store.compact`) remedies.
 

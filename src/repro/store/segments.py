@@ -94,8 +94,7 @@ class Segment:
 
     The arrays are read-only views into ``_buffer`` (the mmap'd file).
     NumPy's base-chain keeps the mapping alive for as long as any view
-    — or any array derived from a view — exists, the same pinning
-    guarantee :mod:`repro.parallel.shm` relies on, so handing a column
+    — or any array derived from a view — exists, so handing a column
     to a caller that outlives this object is safe.
     """
 
