@@ -1,21 +1,19 @@
-"""Tests for the shared-memory zero-copy payload handoff."""
+"""Tests for how a sweep's shared payload reaches its workers.
+
+A parallel sweep pickles ``shared=`` once; each worker unpickles the
+bytes once per sweep token.  What a worker rebuilds must equal what
+the parent passed, and a parallel sweep over it must return exactly
+what the serial sweep returns.
+"""
 
 import pickle
 
 import numpy as np
 import pytest
 
-from repro.core.columns import ColumnarView
 from repro.core.metrics import mtbf, mttr
-from repro.errors import SweepError
-from repro.parallel import (
-    SharedPayload,
-    ShmColumnBlock,
-    shutdown_pool,
-    sweep,
-    sweep_iter,
-)
-from repro.parallel.shm import resolve_shared
+from repro.parallel import shutdown_pool, sweep
+from repro.parallel.sweeps import _load_shared
 
 
 @pytest.fixture(autouse=True)
@@ -25,81 +23,27 @@ def _cold_pool():
     shutdown_pool()
 
 
-class TestShmColumnBlock:
-    def test_roundtrip_preserves_arrays_bitwise(self):
-        arrays = {
-            "floats": np.linspace(0.0, 1.0, 1001),
-            "ints": np.arange(500, dtype=np.int64),
-            "bools": np.array([True, False, True]),
-            "empty": np.empty(0, dtype=np.float64),
-        }
-        with ShmColumnBlock.export(arrays, {"tag": "t"}) as block:
-            attached = ShmColumnBlock.attach(block.handle)
-            rebuilt = attached.arrays()
-            assert set(rebuilt) == set(arrays)
-            for key, original in arrays.items():
-                assert rebuilt[key].dtype == original.dtype
-                np.testing.assert_array_equal(rebuilt[key], original)
-            assert block.handle.meta["tag"] == "t"
-            attached.close()
-
-    def test_attached_arrays_are_readonly_views(self):
-        arrays = {"a": np.arange(64, dtype=np.float64)}
-        with ShmColumnBlock.export(arrays) as block:
-            attached = ShmColumnBlock.attach(block.handle)
-            view = attached.array("a")
-            assert not view.flags.writeable
-            assert not view.flags.owndata  # view, not a copy
-
-    def test_handle_is_metadata_sized(self):
-        """The whole point: a million-element array travels to workers
-        as a few hundred bytes of handle, not megabytes of pickle."""
-        big = np.arange(1_000_000, dtype=np.float64)
-        with ShmColumnBlock.export({"big": big}) as block:
-            handle_bytes = len(pickle.dumps(block.handle))
-            assert handle_bytes < 2_000
-            assert big.nbytes > 1_000_000
-
-    def test_unknown_key_raises(self):
-        with ShmColumnBlock.export({"a": np.arange(3)}) as block:
-            with pytest.raises(KeyError):
-                block.array("b")
-
-    def test_close_is_idempotent(self):
-        block = ShmColumnBlock.export({"a": np.arange(3)})
-        block.close()
-        block.close()
+def _packed(obj) -> bytes:
+    return pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
 
 
 class TestColumnarViewTransport:
     def test_export_attach_parity(self, t2_log):
         view = t2_log.columns
-        block = view.export_shm()
-        try:
-            rebuilt = ColumnarView.from_shm(block.handle)
-            assert rebuilt.machine == view.machine
-            assert rebuilt.category_names == view.category_names
-            assert rebuilt.taxonomy_complete == view.taxonomy_complete
-            np.testing.assert_array_equal(
-                rebuilt.ts_hours, view.ts_hours
-            )
-            np.testing.assert_array_equal(
-                rebuilt.node_ids, view.node_ids
-            )
-            np.testing.assert_array_equal(
-                rebuilt.slot_values, view.slot_values
-            )
-            np.testing.assert_array_equal(
-                rebuilt.slot_offsets, view.slot_offsets
-            )
-            assert len(rebuilt) == len(view)
-        finally:
-            block.close()
-
-    def test_from_shm_rejects_foreign_handle(self):
-        with ShmColumnBlock.export({"a": np.arange(3)}) as block:
-            with pytest.raises(SweepError):
-                ColumnarView.from_shm(block.handle)
+        rebuilt = _load_shared("view-parity", _packed(view))
+        assert rebuilt is not view
+        assert rebuilt.machine == view.machine
+        assert rebuilt.category_names == view.category_names
+        assert rebuilt.taxonomy_complete == view.taxonomy_complete
+        np.testing.assert_array_equal(rebuilt.ts_hours, view.ts_hours)
+        np.testing.assert_array_equal(rebuilt.node_ids, view.node_ids)
+        np.testing.assert_array_equal(
+            rebuilt.slot_values, view.slot_values
+        )
+        np.testing.assert_array_equal(
+            rebuilt.slot_offsets, view.slot_offsets
+        )
+        assert len(rebuilt) == len(view)
 
 
 def _score_window(task: tuple[float, int], log) -> tuple[float, float, int]:
@@ -108,8 +52,10 @@ def _score_window(task: tuple[float, int], log) -> tuple[float, float, int]:
     return (mtbf(log) * scale, mttr(log), len(log))
 
 
-def _dict_item(item: int, shared: dict) -> int:
-    return shared["base"] + item
+def _sum_columns(scale: int, view) -> float:
+    return float(view.ts_hours.sum()) * scale + float(
+        view.node_ids.sum()
+    )
 
 
 class TestSharedSweepParity:
@@ -123,78 +69,20 @@ class TestSharedSweepParity:
 
     def test_columnar_view_payload_bit_parity(self, t2_log):
         view = t2_log.columns
-
         serial = sweep(_sum_columns, [1, 2, 3], shared=view)
         parallel = sweep(
             _sum_columns, [1, 2, 3], processes=2, shared=view
         )
         assert parallel == serial
 
-    def test_pickle_fallback_for_plain_objects(self):
-        shared = {"base": 100}
-        assert sweep(
-            _dict_item, [1, 2, 3], processes=2, shared=shared
-        ) == [101, 102, 103]
-
-    def test_sweep_iter_accepts_shared(self, t2_log):
-        tasks = [(336.0, 1), (720.0, 2)]
-        streamed = [
-            o.result
-            for o in sweep_iter(
-                _score_window, tasks, processes=2, shared=t2_log
-            )
-        ]
-        assert streamed == sweep(_score_window, tasks, shared=t2_log)
-
-
-def _sum_columns(scale: int, view) -> float:
-    return float(view.ts_hours.sum()) * scale + float(
-        view.node_ids.sum()
-    )
-
 
 class TestSharedPayloadInternals:
-    def test_spec_is_metadata_sized_for_logs(self, t2_log):
-        """Per-chunk payload cost drops from O(dataset) to
-        O(metadata): the spec must stay tiny however big the log."""
-        payload = SharedPayload(t2_log)
-        try:
-            assert payload.spec_nbytes() < 4_000
-            assert len(pickle.dumps(t2_log)) > payload.spec_nbytes()
-        finally:
-            payload.close()
-
-    def test_resolve_caches_by_token(self, t2_log):
-        payload = SharedPayload(t2_log)
-        try:
-            first = resolve_shared(payload.spec)
-            second = resolve_shared(payload.spec)
-            assert first is second  # one materialisation per process
-        finally:
-            payload.close()
-
     def test_resolved_log_equals_original(self, t2_log):
-        payload = SharedPayload(t2_log)
-        try:
-            rebuilt = resolve_shared(payload.spec)
-            assert rebuilt == t2_log
-            # The injected columns are the shm views, ready to go —
-            # no rebuild from records in the worker.
-            view = rebuilt.columns
-            np.testing.assert_array_equal(
-                view.ts_hours, t2_log.columns.ts_hours
-            )
-            assert not view.ts_hours.flags.owndata
-        finally:
-            payload.close()
-
-    def test_close_keeps_attached_views_alive(self, t2_log):
-        """POSIX shm: the owner unlinking must not invalidate views a
-        consumer already attached (warm-pool workers may still be
-        finishing a chunk when the parent closes the payload)."""
-        payload = SharedPayload(t2_log.columns)
-        rebuilt = ColumnarView.from_shm(payload.spec.block)
-        payload.close()
+        rebuilt = _load_shared("log-parity", _packed(t2_log))
+        assert rebuilt is not t2_log
+        assert rebuilt == t2_log
         np.testing.assert_array_equal(
-            rebuilt.ts_hours, t2_log.columns.ts_hours
+            rebuilt.columns.ts_hours, t2_log.columns.ts_hours
         )
+        # A second chunk of the same sweep reuses the object.
+        assert _load_shared("log-parity", b"") is rebuilt
