@@ -23,7 +23,12 @@ Three sections, written to ``BENCH_store.json`` at the repo root:
   ``StoreViews.absorb`` for one calibrated 1x batch, and
   ``absorb_keys`` the distinct tally keys it touches; calls beyond
   one per key stay below the batch's rows unless the views loop per
-  row.
+  row.  ``append_records_built`` counts cProfile's calls of
+  ``FailureRecord.__post_init__`` during one ``append`` of the first
+  calibrated 1x tile, given as a record list with ``reindex=True``
+  and as a lazy ``read_csv`` log (``csv_log_still_lazy`` says whether
+  that log still holds only its columns afterwards).  The writer
+  checks a batch as arrays, so both counts are 0.
 
 Run::
 
@@ -52,8 +57,8 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.records import FailureLog
-from repro.io import read_log, write_csv
+from repro.core.records import FailureLog, FailureRecord
+from repro.io import read_csv, read_log, write_csv
 from repro.serve.app import ANALYSES
 from repro.serve.http import json_body
 from repro.store import init_store, open_store
@@ -232,6 +237,7 @@ def _bench_incremental(log: FailureLog, root: Path) -> dict:
         ),
         "parity_ok": True,
         **_absorb_calls(log, store.manifest["window_start_us"]),
+        **_records_built(log, root),
     }
 
 
@@ -259,6 +265,35 @@ def _absorb_calls(log: FailureLog, window_start_us: int) -> dict:
         "absorb_rows": views.rows,
         "absorb_keys": keys,
         "absorb_py_calls": pstats.Stats(profiler).total_calls,
+    }
+
+
+def _records_built(log: FailureLog, root: Path) -> dict:
+    """``FailureRecord.__post_init__`` calls in one append of the
+    first calibrated tile, as records and as a lazy CSV log.
+
+    Each append goes to a fresh store; deterministic for the seed.
+    """
+    check = FailureRecord.__post_init__.__code__
+    key = (check.co_filename, check.co_firstlineno, check.co_name)
+
+    def built(name: str, batch, **options) -> int:
+        store = init_store(root / f"{name}.store", log.machine)
+        profiler = cProfile.Profile()
+        profiler.runcall(store.append, batch, **options)
+        return pstats.Stats(profiler).stats.get(key, (0, 0))[1]
+
+    tile = _sub_log(log, 0, BASE_FAILURES)
+    write_csv(tile, root / "tile.csv")
+    csv_log = read_csv(root / "tile.csv")
+    return {
+        "append_records_built": {
+            "records_reindexed": built(
+                "records", list(tile.records), reindex=True
+            ),
+            "csv_log": built("csv", csv_log),
+        },
+        "csv_log_still_lazy": csv_log._lazy,
     }
 
 
@@ -316,7 +351,8 @@ def main() -> None:
         f"recompute {1e3 * incremental['full_recompute_s']:.1f} ms "
         f"({incremental['speedup']:.1f}x, parity verified, "
         f"{incremental['absorb_py_calls']} calls in absorb for "
-        f"{incremental['absorb_keys']} keys)"
+        f"{incremental['absorb_keys']} keys, records built per append "
+        f"{incremental['append_records_built']})"
     )
     write_report(results)
     print(f"wrote {REPORT_PATH}")

@@ -12,7 +12,9 @@ their numbers without asserting ratios a small input cannot honestly
 support.  A deterministic counter is asserted at every scale: beyond
 one call per distinct tally key, ``StoreViews.absorb`` makes fewer
 calls than a calibrated batch has rows, so a per-row Python loop in
-the views fails.
+the views fails.  So is the writer's: one append of a calibrated
+batch, as a record list or a lazy CSV log, builds no
+``FailureRecord`` and leaves the log lazy.
 """
 
 import json
@@ -78,3 +80,13 @@ def test_absorb_makes_no_call_per_row(results):
     assert incremental["absorb_py_calls"] - per_key < (
         incremental["absorb_rows"]
     ), incremental
+
+
+def test_append_builds_no_records(results):
+    # The writer checks a batch as arrays: no record is rebuilt from a
+    # record list, and a lazy CSV log never builds its records.
+    incremental = results["incremental"]
+    assert incremental["append_records_built"] == {
+        "records_reindexed": 0, "csv_log": 0,
+    }, incremental
+    assert incremental["csv_log_still_lazy"] is True

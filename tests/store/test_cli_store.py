@@ -117,6 +117,33 @@ class TestErrors:
         assert "error:" in err
         assert "not time-monotone" in err
 
+    def test_tz_aware_csv_is_a_domain_error(
+        self, tmp_path, halves, capsys
+    ):
+        # The same rows with every stamp and window line at +00:00.
+        lines = halves[0].read_text().splitlines()
+        aware = []
+        for line in lines:
+            if line.startswith("# window_"):
+                line += "+00:00"
+            elif line[:1].isdigit():
+                fields = line.split(",")
+                fields[1] += "+00:00"
+                line = ",".join(fields)
+            aware.append(line)
+        csv_path = tmp_path / "tz.csv"
+        csv_path.write_text("\n".join(aware) + "\n")
+        store = tmp_path / "events.store"
+        main(["store", "init", str(store), "--machine", "tsubame2"])
+        capsys.readouterr()
+        assert main(["store", "append", str(store), str(csv_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "naive timestamps" in err
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not list(store.glob("seg-*"))
+
     def test_double_init_is_a_domain_error(self, tmp_path, capsys):
         store = tmp_path / "events.store"
         assert main(["store", "init", str(store),

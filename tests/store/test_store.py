@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from datetime import timedelta
+from datetime import timedelta, timezone
 
 import pytest
 
-from repro.core.records import FailureLog
+from repro.core.records import FailureLog, FailureRecord
 from repro.errors import MachineError, StoreCorruptError, StoreError
+from repro.io import read_csv, write_csv
 from repro.sim import ClusterSimulator
 from repro.store import (
     FailureStore,
@@ -225,6 +226,81 @@ class TestAppendInvariants:
         )
         with pytest.raises(StoreError, match="origin is fixed"):
             store.append(shifted)
+
+
+class TestTzAwareBatches:
+    """The store keeps naive microseconds: a tz-aware batch is refused
+    with a StoreError before anything is written."""
+
+    @staticmethod
+    def _aware(records, every=1):
+        return [
+            dataclasses.replace(
+                record, timestamp=record.timestamp.replace(tzinfo=timezone.utc)
+            ) if index % every == 0 else record
+            for index, record in enumerate(records)
+        ]
+
+    @pytest.mark.parametrize("every", [1, 3], ids=["all", "mixed"])
+    def test_record_batch_rejected(self, tmp_path, t2_small, every):
+        store = init_store(tmp_path / "s", "tsubame2")
+        batch = self._aware(t2_small.records[:6], every)
+        with pytest.raises(StoreError, match="naive timestamps"):
+            store.append(batch, reindex=True)
+        assert not list((tmp_path / "s").glob("seg-*"))
+        assert open_store(tmp_path / "s").rows == 0
+
+    def test_log_batch_rejected(self, tmp_path, t2_small):
+        store = init_store(tmp_path / "s", "tsubame2")
+        log = FailureLog(
+            machine=t2_small.machine,
+            records=tuple(self._aware(t2_small.records)),
+            window_start=t2_small.window_start.replace(tzinfo=timezone.utc),
+            window_end=t2_small.window_end.replace(tzinfo=timezone.utc),
+        )
+        with pytest.raises(StoreError, match="naive timestamps"):
+            store.append(log)
+        assert not list((tmp_path / "s").glob("seg-*"))
+        assert open_store(tmp_path / "s").rows == 0
+
+
+class TestNoRecordsBuilt:
+    """An append builds the batch's columns once and no record."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        calls = []
+        check = FailureRecord.__post_init__
+
+        def counting(record):
+            calls.append(record)
+            check(record)
+
+        monkeypatch.setattr(FailureRecord, "__post_init__", counting)
+        return calls
+
+    def test_lazy_log_stays_lazy(self, tmp_path, t3_small, built):
+        write_csv(t3_small, tmp_path / "t3.csv")
+        log = read_csv(tmp_path / "t3.csv")
+        assert log._lazy
+        store = init_store(tmp_path / "s", "tsubame3")
+        store.append(log, reindex=True)
+        assert built == []
+        assert log._lazy
+        assert_log_roundtrip(
+            open_store(tmp_path / "s").log(), read_csv(tmp_path / "t3.csv")
+        )
+
+    def test_record_batch_builds_no_record(self, tmp_path, t3_small, built):
+        records = list(reversed(t3_small.records))
+        store = init_store(
+            tmp_path / "s", "tsubame3",
+            window_start=t3_small.window_start,
+            window_end=t3_small.window_end,
+        )
+        store.append(records, reindex=True)
+        assert built == []
+        assert_log_roundtrip(open_store(tmp_path / "s").log(), t3_small)
 
 
 class TestTimeTravel:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import numpy as np
@@ -52,6 +53,22 @@ class TestIncrementalParity:
                 views.absorb(batch.columns)
             rendered.append(_payload_json(views, end_us))
         assert rendered[0] == rendered[1] == rendered[2]
+
+    def test_views_file_bytes_are_pinned(self, tmp_path, t3_small):
+        """``views.json`` after a fixed append sequence, byte for byte:
+        the Welford means are folded over Python floats, and the file
+        must not move by one bit with how they are fed."""
+        store = init_store(
+            tmp_path / "s", t3_small.machine,
+            window_start=t3_small.window_start,
+            window_end=t3_small.window_end,
+        )
+        for batch in split_log(t3_small, 3):
+            store.append(batch)
+        digest = hashlib.sha256((tmp_path / "s" / VIEWS_NAME).read_bytes())
+        assert digest.hexdigest() == (
+            "7be14607715a6fa22bcee06ad36ea721b253f62382b47a6a1506951b935a0a3f"
+        )
 
     def test_verify_parity_catches_divergence(self, stored):
         _, store = stored

@@ -194,6 +194,18 @@ class TestPushMany:
         assert batched.mean == single.mean
         assert batched.variance == single.variance
 
+    def test_welford_array_list_and_loop_states_equal(self):
+        values = np.random.default_rng(2).lognormal(1.0, 2.0, 897)
+        from_array, from_list, looped = Welford(), Welford(), Welford()
+        from_array.push_many(values[:400])
+        from_array.push_many(values[400:])
+        from_list.push_many(values.tolist())
+        for v in values.tolist():
+            looped.push(v)
+        assert from_array.state() == from_list.state() == looped.state()
+        # The state holds Python floats, not NumPy scalars.
+        assert type(from_array.state()["mean"]) is float
+
     def test_gk_bit_identical_to_push_loop(self):
         values = np.random.default_rng(1).exponential(10.0, 800)
         single = GKQuantileSketch()
